@@ -2,9 +2,7 @@ package main
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"stfw/internal/experiments"
@@ -37,29 +35,6 @@ func TestRunLiveUDP(t *testing.T) {
 	cfg.transport = "carrier-pigeon"
 	if err := run(cfg, "live"); err == nil {
 		t.Error("unknown transport accepted")
-	}
-}
-
-// TestUDPProcsLoopback end-to-ends the -procs multi-process mode: it
-// builds the real binary, launches the parent, and checks every rank slice
-// reports its transport stats. This is the only path that exercises
-// fd-inheritance across exec (NewGroup from net.FilePacketConn).
-func TestUDPProcsLoopback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs the stfwbench binary")
-	}
-	bin := filepath.Join(t.TempDir(), "stfwbench")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	out, err := exec.Command(bin, "-exp", "live", "-transport", "udp", "-procs", "2").CombinedOutput()
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out)
-	}
-	for _, want := range []string{"ranks [0,32)", "ranks [32,64)", "data dgrams"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
 	}
 }
 

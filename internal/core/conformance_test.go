@@ -1,9 +1,10 @@
-// Differential conformance suite: the ordered and pipelined exchange
-// engines must produce byte-identical deliveries on every supported
-// transport, for every topology shape. Each cell of the (transport, engine,
-// topology) table runs a seeded exchange and compares the full Delivered
-// payloads of every rank against a reference computed directly from the
-// send sets — so the two engines are also proven identical to each other.
+// Differential conformance suite: every exchange front-end must produce
+// byte-identical deliveries on every supported transport, for every
+// topology shape, whether frames are served in arrival order or in fixed
+// sender order. Each cell of the (transport, receive order, topology)
+// table runs a seeded exchange and compares the full Delivered payloads of
+// every rank against a reference computed directly from the send sets — so
+// the two receive orders are also proven identical to each other.
 package core_test
 
 import (
@@ -11,9 +12,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"stfw/internal/core"
+	"stfw/internal/dynamic"
 	"stfw/internal/msg"
 	"stfw/internal/runtime"
 	"stfw/internal/telemetry"
@@ -129,7 +132,7 @@ func refDeliveries(K int, dests map[int][]int) [][]msg.Submessage {
 
 // runConformance executes one table cell over the given communicators and
 // checks byte-identical deliveries.
-func runConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests map[int][]int, opts ...core.ExchangeOpt) {
+func runConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests map[int][]int) {
 	t.Helper()
 	K := len(comms)
 	reg := confInstrument(t, comms, tp.N())
@@ -139,8 +142,7 @@ func runConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests 
 		for _, dst := range dests[c.Rank()] {
 			payloads[dst] = confPayload(c.Rank(), dst)
 		}
-		rankOpts := append(opts[:len(opts):len(opts)], core.WithTelemetry(reg.Rank(c.Rank())))
-		d, err := core.Exchange(c, tp, payloads, rankOpts...)
+		d, err := core.Exchange(c, tp, payloads, core.WithTelemetry(reg.Rank(c.Rank())))
 		if err != nil {
 			return err
 		}
@@ -191,11 +193,24 @@ func conformanceTopologies(t *testing.T) []*vpt.Topology {
 	return tps
 }
 
-func engineName(ordered bool) string {
+// orderName labels the receive-order axis of the tables: "pipelined" cells
+// serve frames in arrival order through the transport's matcher, "ordered"
+// cells run over forceOrdered, which hides the matcher so every receive
+// falls back to fixed sender order.
+func orderName(ordered bool) string {
 	if ordered {
 		return "ordered"
 	}
 	return "pipelined"
+}
+
+// withOrder returns comms unchanged for arrival-order cells and wrapped in
+// forceOrdered for fixed-order cells.
+func withOrder(comms []runtime.Comm, ordered bool) []runtime.Comm {
+	if ordered {
+		return forceOrderedComms(comms)
+	}
+	return comms
 }
 
 func TestConformanceChanpt(t *testing.T) {
@@ -203,18 +218,14 @@ func TestConformanceChanpt(t *testing.T) {
 		for _, ordered := range []bool{false, true} {
 			tp := tp
 			ordered := ordered
-			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
+			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), orderName(ordered)), func(t *testing.T) {
 				t.Parallel()
 				w, err := chanpt.NewWorld(tp.Size(), 2)
 				if err != nil {
 					t.Fatal(err)
 				}
 				dests := confSendSets(int64(tp.Size()), tp.Size())
-				var opts []core.ExchangeOpt
-				if ordered {
-					opts = append(opts, core.Ordered())
-				}
-				runConformance(t, w.Comms(), tp, dests, opts...)
+				runConformance(t, withOrder(w.Comms(), ordered), tp, dests)
 			})
 		}
 	}
@@ -234,18 +245,14 @@ func TestConformanceTCP(t *testing.T) {
 		for _, ordered := range []bool{false, true} {
 			tp := tp
 			ordered := ordered
-			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
+			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), orderName(ordered)), func(t *testing.T) {
 				w, err := tcpnet.NewWorld(tp.Size())
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer w.Close()
 				dests := confSendSets(int64(tp.Size()), tp.Size())
-				var opts []core.ExchangeOpt
-				if ordered {
-					opts = append(opts, core.Ordered())
-				}
-				runConformance(t, w.Comms(), tp, dests, opts...)
+				runConformance(t, withOrder(w.Comms(), ordered), tp, dests)
 			})
 		}
 	}
@@ -264,7 +271,7 @@ func TestConformanceUDP(t *testing.T) {
 		for _, ordered := range []bool{false, true} {
 			tp := tp
 			ordered := ordered
-			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
+			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), orderName(ordered)), func(t *testing.T) {
 				if err := core.VerifyWorld(core.WorldSchedules(tp)); err != nil {
 					t.Fatalf("schedule world invalid before transport test: %v", err)
 				}
@@ -274,11 +281,7 @@ func TestConformanceUDP(t *testing.T) {
 				}
 				defer w.Close()
 				dests := confSendSets(int64(tp.Size()), tp.Size())
-				var opts []core.ExchangeOpt
-				if ordered {
-					opts = append(opts, core.Ordered())
-				}
-				runConformance(t, w.Comms(), tp, dests, opts...)
+				runConformance(t, withOrder(w.Comms(), ordered), tp, dests)
 			})
 		}
 	}
@@ -300,7 +303,7 @@ func TestConformanceHier(t *testing.T) {
 		for _, ordered := range []bool{false, true} {
 			tp := tp
 			ordered := ordered
-			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
+			t.Run(fmt.Sprintf("K=%d/dims=%v/%s", tp.Size(), tp.Dims(), orderName(ordered)), func(t *testing.T) {
 				if err := core.VerifyWorld(core.WorldSchedules(tp)); err != nil {
 					t.Fatalf("schedule world invalid before transport test: %v", err)
 				}
@@ -325,18 +328,14 @@ func TestConformanceHier(t *testing.T) {
 					t.Fatal(err)
 				}
 				dests := confSendSets(int64(K), K)
-				var opts []core.ExchangeOpt
-				if ordered {
-					opts = append(opts, core.Ordered())
-				}
-				runConformance(t, hw.Comms(), tp, dests, opts...)
+				runConformance(t, withOrder(hw.Comms(), ordered), tp, dests)
 			})
 		}
 	}
 }
 
 // TestConformanceDirect runs the same differential check for the baseline
-// DirectExchange on both engines over both transports.
+// DirectExchange in both receive orders over every transport.
 func TestConformanceDirect(t *testing.T) {
 	const K = 16
 	dests := confSendSets(99, K)
@@ -348,7 +347,7 @@ func TestConformanceDirect(t *testing.T) {
 	}
 	ref := refDeliveries(K, dests)
 
-	run := func(t *testing.T, comms []runtime.Comm, opts ...core.ExchangeOpt) {
+	run := func(t *testing.T, comms []runtime.Comm) {
 		reg := confInstrument(t, comms, 1)
 		got := make([]*core.Delivered, K)
 		err := runtime.Run(comms, func(c runtime.Comm) error {
@@ -356,8 +355,7 @@ func TestConformanceDirect(t *testing.T) {
 			for _, dst := range dests[c.Rank()] {
 				payloads[dst] = confPayload(c.Rank(), dst)
 			}
-			rankOpts := append(opts[:len(opts):len(opts)], core.WithTelemetry(reg.Rank(c.Rank())))
-			d, err := core.DirectExchange(c, payloads, recvFrom[c.Rank()], rankOpts...)
+			d, err := core.DirectExchange(c, payloads, recvFrom[c.Rank()], core.WithTelemetry(reg.Rank(c.Rank())))
 			if err != nil {
 				return err
 			}
@@ -382,40 +380,36 @@ func TestConformanceDirect(t *testing.T) {
 	}
 
 	for _, ordered := range []bool{false, true} {
-		var opts []core.ExchangeOpt
-		if ordered {
-			opts = append(opts, core.Ordered())
-		}
-		t.Run("chanpt/"+engineName(ordered), func(t *testing.T) {
+		t.Run("chanpt/"+orderName(ordered), func(t *testing.T) {
 			w, err := chanpt.NewWorld(K, K)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run(t, w.Comms(), opts...)
+			run(t, withOrder(w.Comms(), ordered))
 		})
-		t.Run("tcpnet/"+engineName(ordered), func(t *testing.T) {
+		t.Run("tcpnet/"+orderName(ordered), func(t *testing.T) {
 			w, err := tcpnet.NewWorld(K)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			run(t, w.Comms(), opts...)
+			run(t, withOrder(w.Comms(), ordered))
 		})
-		t.Run("udpnet/"+engineName(ordered), func(t *testing.T) {
+		t.Run("udpnet/"+orderName(ordered), func(t *testing.T) {
 			w, err := udpnet.NewWorld(K)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			run(t, w.Comms(), opts...)
+			run(t, withOrder(w.Comms(), ordered))
 		})
 	}
 }
 
 // forceOrdered hides the transport's arrival-order matcher: RecvAnyOf
 // reports ErrNoRecvAny, so runtime.RecvAnyOf degrades to fixed-order
-// targeted receives. The Replay conformance cells use it to pin the compiled
-// engine's receive order without a dedicated engine option, while frame
+// targeted receives. The "ordered" cells of every table use it to pin the
+// receive order of the stage machine and the compiled replay, while frame
 // ownership (SendRetains) still reflects the underlying transport.
 type forceOrdered struct{ runtime.Comm }
 
@@ -477,9 +471,9 @@ func persistentConformanceTopologies(t *testing.T, tcp bool) []*vpt.Topology {
 
 // runPersistentConformance learns the pattern once per rank, then replays it
 // twice with fresh per-round payloads, checking every round's deliveries
-// byte-for-byte against the independently computed reference (the same
-// ground truth the seed ordered engine is checked against).
-func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests map[int][]int, opts ...core.ExchangeOpt) {
+// byte-for-byte against the independently computed reference. The learned
+// world must also pass the world verifiers.
+func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, dests map[int][]int) {
 	t.Helper()
 	K := len(comms)
 	const rounds = 2
@@ -487,6 +481,7 @@ func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topolo
 	for r := range got {
 		got[r] = make([][]msg.Submessage, K)
 	}
+	ps := make([]*core.Persistent, K)
 	err := runtime.Run(comms, func(c runtime.Comm) error {
 		me := c.Rank()
 		payloads := map[int][]byte{}
@@ -497,12 +492,13 @@ func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topolo
 		if err != nil {
 			return err
 		}
+		ps[me] = p
 		got[0][me] = d.Subs
 		for r := 1; r <= rounds; r++ {
 			for _, dst := range dests[me] {
 				payloads[dst] = confRoundPayload(me, dst, r)
 			}
-			d, err := p.Run(c, payloads, opts...)
+			d, err := p.Run(c, payloads)
 			if err != nil {
 				return err
 			}
@@ -513,6 +509,7 @@ func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topolo
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifyLearned(t, ps, tp, dests)
 	for r := 0; r <= rounds; r++ {
 		for q := 0; q < K; q++ {
 			var ref []msg.Submessage
@@ -537,9 +534,39 @@ func runPersistentConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topolo
 	}
 }
 
-// TestConformancePersistent checks the learned-schedule front-end on both
-// transports under both receive disciplines: every replay's deliveries are
-// bit-identical to the reference the seed ordered engine is held to.
+// verifyLearned gates a learned world through the world verifiers:
+// schedule consistency, payload-plane symmetry (VerifyLearnedWorld), and
+// conservation against a static plan built independently from the send
+// sets.
+func verifyLearned(t *testing.T, ps []*core.Persistent, tp *vpt.Topology, dests map[int][]int) {
+	t.Helper()
+	scheds := core.LearnedWorldSchedules(ps)
+	if err := core.VerifyLearnedWorld(ps); err != nil {
+		t.Fatalf("VerifyLearnedWorld: %v", err)
+	}
+	ss := core.NewSendSets(tp.Size())
+	for src, ds := range dests {
+		for _, dst := range ds {
+			ss.Add(src, dst, 1)
+		}
+	}
+	if err := ss.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.BuildPlan(tp, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.VerifyWorldAgainstPlan(scheds, plan); err != nil {
+		t.Fatalf("VerifyWorldAgainstPlan: %v", err)
+	}
+}
+
+// TestConformancePersistent checks the learned-schedule front-end, learning
+// run and replays, on every transport in both receive orders: every
+// round's deliveries are bit-identical to the reference, and the learned
+// world passes the world verifiers. Each cell also runs the discovery
+// census.
 func TestConformancePersistent(t *testing.T) {
 	for _, transport := range []string{"chanpt", "tcpnet", "udpnet"} {
 		for _, tp := range persistentConformanceTopologies(t, transport == "tcpnet") {
@@ -550,7 +577,7 @@ func TestConformancePersistent(t *testing.T) {
 				tp := tp
 				ordered := ordered
 				transport := transport
-				t.Run(fmt.Sprintf("%s/K=%d/dims=%v/%s", transport, tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/K=%d/dims=%v/%s", transport, tp.Size(), tp.Dims(), orderName(ordered)), func(t *testing.T) {
 					var comms []runtime.Comm
 					switch transport {
 					case "chanpt":
@@ -575,12 +602,10 @@ func TestConformancePersistent(t *testing.T) {
 						defer w.Close()
 						comms = w.Comms()
 					}
+					comms = withOrder(comms, ordered)
 					dests := confSendSets(int64(tp.Size()), tp.Size())
-					var opts []core.ExchangeOpt
-					if ordered {
-						opts = append(opts, core.Ordered())
-					}
-					runPersistentConformance(t, comms, tp, dests, opts...)
+					runPersistentConformance(t, comms, tp, dests)
+					runCensusConformance(t, comms, tp)
 				})
 			}
 		}
@@ -628,6 +653,7 @@ func runReplayConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, 
 	for r := range halos {
 		halos[r] = make([][]float64, K)
 	}
+	ps := make([]*core.Persistent, K)
 	err := runtime.Run(comms, func(c runtime.Comm) error {
 		me := c.Rank()
 		gather := confGather(me, dests[me])
@@ -639,6 +665,7 @@ func runReplayConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, 
 		if err != nil {
 			return err
 		}
+		ps[me] = p
 		rep, err := p.Compile(confXLen, gather)
 		if err != nil {
 			return err
@@ -655,6 +682,7 @@ func runReplayConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifyLearned(t, ps, tp, dests)
 	for r := 0; r < rounds; r++ {
 		for q := 0; q < K; q++ {
 			var ref []float64
@@ -682,8 +710,9 @@ func runReplayConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology, 
 }
 
 // TestConformanceReplay checks the compiled lowering of the learned schedule
-// on both transports, in arrival order and (via forceOrdered) in fixed
-// receive order: the halos must match the reference exactly in every round.
+// on every transport, in arrival order and (via forceOrdered) in fixed
+// receive order: the halos must match the reference exactly in every round,
+// and the learned world passes the world verifiers.
 func TestConformanceReplay(t *testing.T) {
 	for _, transport := range []string{"chanpt", "tcpnet", "udpnet"} {
 		for _, tp := range persistentConformanceTopologies(t, transport == "tcpnet") {
@@ -694,7 +723,7 @@ func TestConformanceReplay(t *testing.T) {
 				tp := tp
 				ordered := ordered
 				transport := transport
-				t.Run(fmt.Sprintf("%s/K=%d/dims=%v/%s", transport, tp.Size(), tp.Dims(), engineName(ordered)), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/K=%d/dims=%v/%s", transport, tp.Size(), tp.Dims(), orderName(ordered)), func(t *testing.T) {
 					var comms []runtime.Comm
 					switch transport {
 					case "chanpt":
@@ -719,13 +748,105 @@ func TestConformanceReplay(t *testing.T) {
 						defer w.Close()
 						comms = w.Comms()
 					}
-					if ordered {
-						comms = forceOrderedComms(comms)
-					}
 					dests := confSendSets(int64(tp.Size()), tp.Size())
-					runReplayConformance(t, comms, tp, dests)
+					runReplayConformance(t, withOrder(comms, ordered), tp, dests)
 				})
 			}
 		}
 	}
+}
+
+// confDeltas derives every rank's census input: one addition and, where
+// the destinations differ, one removal, both rank-derived.
+func confDeltas(K int) []dynamic.Delta {
+	deltas := make([]dynamic.Delta, K)
+	for r := 0; r < K; r++ {
+		addDst, rmDst := (r*3+1)%K, (r*5+2)%K
+		deltas[r].Add = []dynamic.Announce{{Dst: addDst, Size: 8 * (r + 1)}}
+		if rmDst != addDst {
+			deltas[r].Remove = []int{rmDst}
+		}
+	}
+	return deltas
+}
+
+// runCensusConformance runs the discovery census on comms and again with
+// every receive forced into fixed sender order, and requires each rank's
+// PatchDelta to hold the same pairs in both runs. The fixed-order result is
+// itself checked against the pairs whose dimension-ordered route involves
+// the rank, derived independently from the topology.
+func runCensusConformance(t *testing.T, comms []runtime.Comm, tp *vpt.Topology) {
+	t.Helper()
+	K := len(comms)
+	deltas := confDeltas(K)
+	census := func(comms []runtime.Comm) [][]core.PatchPair {
+		got := make([][]core.PatchPair, K)
+		err := runtime.Run(comms, func(c runtime.Comm) error {
+			d, err := dynamic.Discover(c, tp, deltas[c.Rank()])
+			if err != nil {
+				return err
+			}
+			got[c.Rank()] = sortedPairs(d.Pairs)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	got, fixed := census(comms), census(forceOrderedComms(comms))
+	for me := 0; me < K; me++ {
+		var want []core.PatchPair
+		for src, d := range deltas {
+			for _, a := range d.Add {
+				if routeInvolves(tp, me, src, a.Dst) {
+					want = append(want, core.PatchPair{Src: src, Dst: a.Dst, Size: a.Size})
+				}
+			}
+			for _, dst := range d.Remove {
+				if routeInvolves(tp, me, src, dst) {
+					want = append(want, core.PatchPair{Src: src, Dst: dst, Remove: true})
+				}
+			}
+		}
+		want = sortedPairs(want)
+		if !slices.Equal(fixed[me], want) {
+			t.Fatalf("rank %d: fixed-order census %+v, want %+v", me, fixed[me], want)
+		}
+		if !slices.Equal(got[me], fixed[me]) {
+			t.Fatalf("rank %d: census %+v, fixed-order census %+v", me, got[me], fixed[me])
+		}
+	}
+}
+
+// routeInvolves reports whether rank me lies on the dimension-ordered route
+// of (src, dst): origin, any forwarder, or destination.
+func routeInvolves(t *vpt.Topology, me, src, dst int) bool {
+	cur := src
+	for d := 0; d < t.N() && cur != me; d++ {
+		cur = t.RouteNext(cur, dst, d)
+	}
+	return cur == me || dst == me
+}
+
+// sortedPairs returns a sorted copy of a PatchDelta's pairs, so deltas can
+// be compared as sets.
+func sortedPairs(ps []core.PatchPair) []core.PatchPair {
+	out := slices.Clone(ps)
+	slices.SortFunc(out, func(a, b core.PatchPair) int {
+		if a.Src != b.Src {
+			return a.Src - b.Src
+		}
+		if a.Dst != b.Dst {
+			return a.Dst - b.Dst
+		}
+		if a.Remove != b.Remove {
+			if a.Remove {
+				return 1
+			}
+			return -1
+		}
+		return a.Size - b.Size
+	})
+	return out
 }

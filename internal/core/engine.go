@@ -13,37 +13,32 @@ import (
 // StageSchedule stage by stage — send the stage's frames, receive the
 // stage's expected frames, repeat — and delegates everything front-end
 // specific to four hooks. The machine owns frame encoding/decoding, the
-// From/To misroute check, frame-buffer lifetime, the receive policy, and
+// From/To misroute check, frame-buffer lifetime, the receive order, and
 // the per-stage telemetry span; the hooks own routing semantics:
 //
 //   - outSubs(d, j, slot) supplies the submessages of the j-th outbound
 //     frame of stage d (Exchange drains a forward buffer, Persistent fills
-//     its learned slot list, DirectExchange wraps one payload);
+//     its learned slot list, DirectExchange wraps one payload, the census
+//     drains its announcement buffers);
 //   - onFrame(d, from, subs) consumes a validated inbound frame (Exchange
 //     scatters into later-stage buffers, Persistent stages into its store,
-//     DirectExchange appends the delivery). It returns the payload bytes
+//     DirectExchange appends the delivery, the census visits every
+//     announcement before scattering it). It returns the payload bytes
 //     delivered to this rank in the frame, feeding the stage probe;
 //   - onStage(d, deliveredBytes), optional, fires at each stage boundary
 //     (the occupancy probe of WithStageProbe);
-//   - finish(pooled) runs after the last stage, before pooled frames are
-//     recycled; pooled reports whether inbound payloads alias pooled frame
-//     buffers and must be copied out (msg.CompactSubs) to survive the call.
+//   - finish runs after the last stage, before the inbound frames are
+//     recycled.
 //
-// Two execution disciplines share the loop, selected by ordered:
-//
-//   - ordered (the legacy engine, kept for paper-reproduction runs): sends
-//     issued inline with one fresh frame copy each, receives in the
-//     schedule's fixed sender order, inbound frames never pooled;
-//   - pipelined (default): a worker goroutine drains a FIFO of stage send
-//     batches encoded into pooled arena frames, receives are served in
-//     arrival order (runtime.RecvPolicy over RecvAnyOf), and inbound
-//     frames are retained until the exchange ends — onFrame's submessages
-//     alias them — then recycled after finish copies deliveries out.
+// There is one discipline. Each outbound frame is encoded into a pooled
+// arena buffer and sent inline, in slot order (sendPooledFrame). Receives
+// are served in arrival order (runtime.RecvPolicy over RecvAnyOf). Inbound
+// frames are retained until the exchange ends: onFrame's submessages alias
+// them, so finish must copy out (msg.CompactSubs) any payload that
+// outlives the call.
 type stageMachine struct {
-	sched      *StageSchedule
-	ordered    bool
-	inlineSend bool // pipelined only: issue pooled sends inline instead of via the worker
-	tele       *telemetry.Rank
+	sched *StageSchedule
+	tele  *telemetry.Rank
 	// traffic, when set, is the schedule's per-stage traffic summary,
 	// offered to the transport (runtime.HintTraffic) before the first
 	// stage so schedule-aware transports can run zero-speculation flow
@@ -53,121 +48,63 @@ type stageMachine struct {
 	outSubs func(stage, slot int, s SendSlot) ([]msg.Submessage, error)
 	onFrame func(stage, from int, subs []msg.Submessage) (deliveredBytes int, err error)
 	onStage func(stage, deliveredBytes int)
-	finish  func(pooled bool) error
+	finish  func() error
 }
 
 // run executes the schedule on this rank's communicator. It is the only
 // stage loop in the package: Exchange, DirectExchange, Persistent (learning
-// and replay) all pass through here, and Replay.Run is the compiled
-// specialization of the same structure.
+// and replay) and the discovery census all pass through here, and
+// Replay.Run is the compiled specialization of the same structure.
 func (sm *stageMachine) run(c runtime.Comm, me int) error {
 	runtime.HintTraffic(c, sm.traffic)
-	var (
-		sw        *sendWorker
-		retained  [][]byte     // pipelined: received pooled frames, recycled on return
-		frameArr  []stageFrame // pipelined: backing array for all stages' send batches
-		encodeBuf []byte       // ordered: reused encode scratch
-		decoded   msg.Message  // pipelined: DecodeInto scratch, reused across frames
-		retains   bool         // pipelined inline sends: transport retains frames
-		pol       runtime.RecvPolicy
-	)
-	if !sm.ordered {
-		retains = runtime.SendRetains(c)
-		sends, recvs := 0, 0
-		for i := range sm.sched.Stages {
-			sends += len(sm.sched.Stages[i].Sends)
-			recvs += len(sm.sched.Stages[i].RecvFrom)
-		}
-		frameArr = make([]stageFrame, 0, sends)
-		retained = make([][]byte, 0, recvs)
-		defer func() {
-			for _, b := range retained {
-				msg.PutFrame(b)
-			}
-		}()
-		if !sm.inlineSend {
-			sw = startSendWorker(c, me, len(sm.sched.Stages))
-			defer sw.join()
-		}
-		pol.Arrival = true
+	retains := runtime.SendRetains(c)
+	recvs := 0
+	for i := range sm.sched.Stages {
+		recvs += len(sm.sched.Stages[i].RecvFrom)
 	}
-
-	var stageStart time.Time
+	retained := make([][]byte, 0, recvs) // received pooled frames, recycled on return
+	defer func() {
+		for _, b := range retained {
+			msg.PutFrame(b)
+		}
+	}()
+	var (
+		decoded    msg.Message // DecodeInto scratch, reused across frames
+		pol        runtime.RecvPolicy
+		stageStart time.Time
+	)
 	for d := range sm.sched.Stages {
 		st := &sm.sched.Stages[d]
 		if sm.tele != nil {
 			stageStart = time.Now()
 		}
 
-		// Emit the stage's outbound frames in slot order. The ordered
-		// discipline sends inline; the pipelined one hands the batch to the
-		// worker (which owns its subslice from then on; stages use disjoint
-		// regions of the shared backing array) and overlaps it with the
-		// receives below.
-		if sm.ordered {
-			for j := range st.Sends {
-				slot := st.Sends[j]
-				subs, err := sm.outSubs(d, j, slot)
-				if err != nil {
-					return err
-				}
-				m := msg.Message{From: me, To: slot.To, Subs: subs}
-				encodeBuf = msg.Encode(encodeBuf[:0], &m)
-				frame := append([]byte(nil), encodeBuf...)
-				if err := c.Send(slot.To, st.Tag, frame); err != nil {
-					return fmt.Errorf("core: rank %d stage %d send to %d: %w", me, d, slot.To, err)
-				}
+		for j := range st.Sends {
+			slot := st.Sends[j]
+			subs, err := sm.outSubs(d, j, slot)
+			if err != nil {
+				return err
 			}
-		} else if sm.inlineSend {
-			for j := range st.Sends {
-				slot := st.Sends[j]
-				subs, err := sm.outSubs(d, j, slot)
-				if err != nil {
-					return err
-				}
-				if err := sendPooledFrame(c, me, slot.To, st.Tag, subs, retains); err != nil {
-					return fmt.Errorf("core: rank %d stage %d send to %d: %w", me, d, slot.To, err)
-				}
+			if err := sendPooledFrame(c, me, slot.To, st.Tag, subs, retains); err != nil {
+				return fmt.Errorf("core: rank %d stage %d send to %d: %w", me, d, slot.To, err)
 			}
-		} else {
-			outs := frameArr[len(frameArr) : len(frameArr) : len(frameArr)+len(st.Sends)]
-			for j := range st.Sends {
-				slot := st.Sends[j]
-				subs, err := sm.outSubs(d, j, slot)
-				if err != nil {
-					return err
-				}
-				outs = append(outs, stageFrame{to: slot.To, subs: subs})
-			}
-			frameArr = frameArr[:len(frameArr)+len(outs)]
-			sw.enqueue(st.Tag, outs)
 		}
 
-		// Receive one frame per expected sender, in the order the policy
-		// dictates. The expected sender comes from the policy/matcher, never
-		// from loop position, so the misroute check is valid under any
-		// delivery order.
+		// Receive one frame per expected sender, whichever lands first. The
+		// sender comes from the matcher, never from loop position, so the
+		// misroute check is valid under any delivery order.
 		pol.Reset(st.RecvFrom)
 		stageDelivered := 0
 		for pol.Outstanding() > 0 {
 			from, raw, err := pol.Next(c, st.Tag)
+			if raw != nil {
+				retained = append(retained, raw)
+			}
 			if err != nil {
-				if from >= 0 {
-					return fmt.Errorf("core: rank %d stage %d recv from %d: %w", me, d, from, err)
-				}
 				return fmt.Errorf("core: rank %d stage %d recv: %w", me, d, err)
 			}
-			if sm.ordered {
-				m, derr := msg.Decode(raw)
-				if derr != nil {
-					return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
-				}
-				decoded = *m
-			} else {
-				retained = append(retained, raw)
-				if derr := msg.DecodeInto(&decoded, raw); derr != nil {
-					return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
-				}
+			if derr := msg.DecodeInto(&decoded, raw); derr != nil {
+				return fmt.Errorf("core: rank %d stage %d frame from %d: %w", me, d, from, derr)
 			}
 			if decoded.From != from || decoded.To != me {
 				return fmt.Errorf("core: rank %d stage %d: misrouted frame %d->%d arrived from %d",
@@ -186,14 +123,9 @@ func (sm *stageMachine) run(c runtime.Comm, me int) error {
 			stageStart = sm.tele.SpanMark(telemetry.KStage, d, stageStart)
 		}
 	}
-	if sw != nil {
-		if err := sw.join(); err != nil {
-			return err
-		}
-	}
 	// finish runs before the deferred frame recycle: delivered payloads that
 	// alias retained frames are still intact here.
-	return sm.finish(!sm.ordered)
+	return sm.finish()
 }
 
 // sendPooledFrame encodes one frame into a pooled arena buffer and hands it
@@ -208,62 +140,4 @@ func sendPooledFrame(c runtime.Comm, me, to, tag int, subs []msg.Submessage, ret
 		msg.PutFrame(buf)
 	}
 	return err
-}
-
-type stageFrame struct {
-	to   int
-	subs []msg.Submessage
-}
-
-type stageBatch struct {
-	tag  int
-	outs []stageFrame
-}
-
-// sendWorker is the per-exchange send goroutine of the pipelined
-// discipline: it drains stage batches in FIFO order, encoding every frame
-// into a pooled buffer and handing it to the transport. On retaining
-// transports the receiving rank recycles the buffer; otherwise the worker
-// does, right after Send returns. After the first send error the worker
-// drains (and drops) remaining batches so the enqueueing side never blocks;
-// join surfaces the error.
-type sendWorker struct {
-	ch     chan stageBatch
-	done   chan struct{}
-	err    error // written by the worker, read after <-done
-	joined bool
-}
-
-func startSendWorker(c runtime.Comm, me, stages int) *sendWorker {
-	sw := &sendWorker{ch: make(chan stageBatch, stages), done: make(chan struct{})}
-	retains := runtime.SendRetains(c)
-	go func() {
-		defer close(sw.done)
-		for batch := range sw.ch {
-			if sw.err != nil {
-				continue
-			}
-			for _, of := range batch.outs {
-				if err := sendPooledFrame(c, me, of.to, batch.tag, of.subs, retains); err != nil {
-					sw.err = fmt.Errorf("core: rank %d send to %d (tag %d): %w", me, of.to, batch.tag, err)
-					break
-				}
-			}
-		}
-	}()
-	return sw
-}
-
-func (sw *sendWorker) enqueue(tag int, outs []stageFrame) { sw.ch <- stageBatch{tag: tag, outs: outs} }
-
-// join closes the batch queue, waits for the worker to finish, and returns
-// its first error. Safe to call twice (the engine joins on the happy path
-// and again via defer).
-func (sw *sendWorker) join() error {
-	if !sw.joined {
-		sw.joined = true
-		close(sw.ch)
-	}
-	<-sw.done
-	return sw.err
 }

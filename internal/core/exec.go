@@ -66,18 +66,10 @@ func AppTagSpan(maxStages int) (lo, hi int) {
 type ExchangeOpt func(*exchangeOptions)
 
 type exchangeOptions struct {
-	ordered bool
-	plan    *Plan
-	probe   func(stage, residentPayloadBytes int)
-	tele    *telemetry.Rank
+	plan  *Plan
+	probe func(stage, residentPayloadBytes int)
+	tele  *telemetry.Rank
 }
-
-// Ordered selects the stage machine's legacy discipline: sends issued
-// inline from the main loop (one fresh frame copy each) and frames received
-// in fixed neighbor order. The paper-reproduction experiments use it to
-// stay bit-identical with the original executor; the default discipline is
-// the pipelined one.
-func Ordered() ExchangeOpt { return func(o *exchangeOptions) { o.ordered = true } }
 
 // WithPlan switches Exchange onto the plan-driven schedule front-end: the
 // per-rank StageSchedule is derived once from the static plan's route
@@ -121,11 +113,9 @@ func WithTelemetry(t *telemetry.Rank) ExchangeOpt {
 //
 // Exchange is the dynamic front-end of the stage machine: it builds a
 // StageSchedule from the topology alone (or takes the plan-derived one via
-// WithPlan) and routes each submessage as frames land. By default the
-// machine runs its pipelined discipline — a worker goroutine issues the
-// stage's sends from pooled frame buffers while the main loop receives
-// frames in arrival order (runtime.RecvAnyOf), scattering each as it lands.
-// Ordered() restores the legacy fixed-order discipline.
+// WithPlan) and routes each submessage as frames land: each stage's frames
+// are sent from pooled buffers, then received in arrival order
+// (runtime.RecvAnyOf) and scattered as they land.
 //
 // Exchange is collective: every rank of the communicator must call it with
 // the same topology and options.
@@ -170,7 +160,6 @@ func Exchange(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, opts ...
 
 	sm := &stageMachine{
 		sched:   sched,
-		ordered: opt.ordered,
 		tele:    opt.tele,
 		traffic: sched.Traffic(),
 		// Lines 9-12: each outbound frame drains the forward buffer keyed by
@@ -183,15 +172,8 @@ func Exchange(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, opts ...
 		onFrame: func(d, _ int, subs []msg.Submessage) (int, error) {
 			return scatterFrame(t, me, d, fb, out, subs, opt.tele)
 		},
-		finish: func(pooled bool) error {
-			if left := fb.SubCount(); left != 0 {
-				return fmt.Errorf("core: rank %d: %d submessages left undelivered", me, left)
-			}
-			msg.SortSubs(out.Subs)
-			if pooled {
-				msg.CompactSubs(out.Subs)
-			}
-			return nil
+		finish: func() error {
+			return finishDynamic(me, fb, out)
 		},
 	}
 	if opt.probe != nil {
@@ -201,6 +183,18 @@ func Exchange(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte, opts ...
 		return nil, err
 	}
 	return out, nil
+}
+
+// finishDynamic closes a dynamically routed exchange: every forward buffer
+// must have drained, and the deliveries, which alias the engine's pooled
+// inbound frames, are sorted and copied out.
+func finishDynamic(me int, fb *msg.ForwardBuffers, out *Delivered) error {
+	if left := fb.SubCount(); left != 0 {
+		return fmt.Errorf("core: rank %d: %d submessages left undelivered", me, left)
+	}
+	msg.SortSubs(out.Subs)
+	msg.CompactSubs(out.Subs)
+	return nil
 }
 
 // scatterFrame routes one received frame's submessages: deliveries append
@@ -240,8 +234,7 @@ func scatterFrame(t *vpt.Topology, me, d int, fb *msg.ForwardBuffers, out *Deliv
 // recvFrom (which the application knows, e.g. from its data distribution;
 // use SendSets.RecvSets or CountExchange to obtain it). It is the stage
 // machine's single-stage front-end — one frame per destination, one
-// expected frame per source — and like Exchange it runs the pipelined
-// discipline by default, with Ordered() restoring the legacy serial path.
+// expected frame per source.
 func DirectExchange(c runtime.Comm, payloads map[int][]byte, recvFrom []int, opts ...ExchangeOpt) (*Delivered, error) {
 	var opt exchangeOptions
 	for _, o := range opts {
@@ -262,21 +255,18 @@ func DirectExchange(c runtime.Comm, payloads map[int][]byte, recvFrom []int, opt
 	}
 	sort.Ints(dests) // deterministic send order (the schedule is ordered data, not map iteration)
 
-	// One submessage per outbound frame, backed by a single array so the
-	// send worker can alias slices of it until the exchange ends.
-	subArr := make([]msg.Submessage, 0, len(dests))
+	var sub [1]msg.Submessage // one submessage per outbound frame, encoded before the next
 	sched := buildDirectSchedule(me, dests, recvFrom)
 	if err := validateSchedule(sched, me, c.Size()); err != nil {
 		return nil, err
 	}
 	sm := &stageMachine{
 		sched:   sched,
-		ordered: opt.ordered,
 		tele:    opt.tele,
 		traffic: sched.Traffic(),
 		outSubs: func(_, _ int, slot SendSlot) ([]msg.Submessage, error) {
-			subArr = append(subArr, msg.Submessage{Src: me, Dst: slot.To, Data: payloads[slot.To]})
-			return subArr[len(subArr)-1:], nil
+			sub[0] = msg.Submessage{Src: me, Dst: slot.To, Data: payloads[slot.To]}
+			return sub[:], nil
 		},
 		onFrame: func(_, from int, subs []msg.Submessage) (int, error) {
 			if len(subs) != 1 || subs[0].Src != from || subs[0].Dst != me {
@@ -285,11 +275,9 @@ func DirectExchange(c runtime.Comm, payloads map[int][]byte, recvFrom []int, opt
 			out.Subs = append(out.Subs, subs[0])
 			return len(subs[0].Data), nil
 		},
-		finish: func(pooled bool) error {
+		finish: func() error {
 			msg.SortSubs(out.Subs)
-			if pooled {
-				msg.CompactSubs(out.Subs)
-			}
+			msg.CompactSubs(out.Subs)
 			return nil
 		},
 	}

@@ -2,12 +2,14 @@
 // tptest fault injector. Each fault class is applied exactly where it is
 // contract-preserving (see tptest/fault.go):
 //
-//   - delay everywhere, both engines — timing-only, must be invisible;
-//   - reorder on the arrival-order paths — the engines shrink their
-//     candidate lists (RecvPolicy, the replay's pending list), so any
-//     legal service order must produce identical output;
-//   - duplicate in single-exchange cells on the pipelined engine — the
-//     extra frame stays queued behind the matched one;
+//   - delay everywhere, in both receive orders — timing-only, must be
+//     invisible;
+//   - reorder on every arrival-order path (exchange, learning run,
+//     persistent and compiled replay, discovery census) — the engines
+//     shrink their candidate lists (RecvPolicy, the replay's pending
+//     list), so any legal service order must produce identical output;
+//   - duplicate in single-exchange cells — the extra frame stays queued
+//     behind the matched one;
 //   - drop only as a liveness check over TCP: the engine must block until
 //     the world closes and then surface an error, never wrong data.
 package core_test
@@ -76,8 +78,8 @@ func faultWorld(t *testing.T, transport string, K, buffer int, cfg tptest.FaultC
 	return inj.WrapAll(comms), inj
 }
 
-// TestConformanceFaultDelay runs the exchange, persistent, and compiled
-// suites with every send randomly delayed, on both engines and transports.
+// TestConformanceFaultDelay runs the exchange and persistent suites with
+// every send randomly delayed, in both receive orders on every transport.
 // Output must be bit-identical to the fault-free reference.
 func TestConformanceFaultDelay(t *testing.T) {
 	cfg := tptest.FaultConfig{Seed: 11, Delay: 0.5, MaxDelay: 100 * time.Microsecond}
@@ -88,18 +90,15 @@ func TestConformanceFaultDelay(t *testing.T) {
 			}
 			for _, ordered := range []bool{false, true} {
 				tp, transport, ordered := tp, transport, ordered
-				t.Run(fmt.Sprintf("%s/K=%d/%s", transport, tp.Size(), engineName(ordered)), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/K=%d/%s", transport, tp.Size(), orderName(ordered)), func(t *testing.T) {
 					if transport == "chanpt" {
 						t.Parallel()
 					}
 					comms, inj := faultWorld(t, transport, tp.Size(), 2, cfg)
+					comms = withOrder(comms, ordered)
 					dests := confSendSets(int64(tp.Size()), tp.Size())
-					var opts []core.ExchangeOpt
-					if ordered {
-						opts = append(opts, core.Ordered())
-					}
-					runConformance(t, comms, tp, dests, opts...)
-					runPersistentConformance(t, comms, tp, dests, opts...)
+					runConformance(t, comms, tp, dests)
+					runPersistentConformance(t, comms, tp, dests)
 					if st := inj.Stats(); st.Delayed == 0 {
 						t.Fatalf("delay fault never fired: %+v", st)
 					}
@@ -109,11 +108,13 @@ func TestConformanceFaultDelay(t *testing.T) {
 	}
 }
 
-// TestConformanceFaultReorder runs the arrival-order paths (pipelined
-// exchange, persistent replay, compiled replay) with receives served in
-// adversarial random order. The engines track outstanding senders, so any
-// service order over the candidate set is legal and the output must not
-// change.
+// TestConformanceFaultReorder runs the arrival-order paths (exchange,
+// learning run, persistent replay, compiled replay, discovery census) with
+// receives served in adversarial random order. The engines track
+// outstanding senders, so any service order over the candidate set is
+// legal: deliveries and halos must not change, learned worlds must pass
+// the world verifiers, and every rank's census delta must hold the same
+// pairs as a fixed-order census.
 func TestConformanceFaultReorder(t *testing.T) {
 	cfg := tptest.FaultConfig{Seed: 23, Reorder: 0.75}
 	// Wide-radix shapes: reorder needs multi-candidate receive rounds, and a
@@ -141,6 +142,7 @@ func TestConformanceFaultReorder(t *testing.T) {
 				runConformance(t, comms, tp, dests)
 				runPersistentConformance(t, comms, tp, dests)
 				runReplayConformance(t, comms, tp, dests)
+				runCensusConformance(t, comms, tp)
 				if st := inj.Stats(); st.Reordered == 0 {
 					t.Fatalf("reorder fault never fired: %+v", st)
 				}
@@ -149,8 +151,8 @@ func TestConformanceFaultReorder(t *testing.T) {
 	}
 }
 
-// TestConformanceFaultDuplicate runs single-exchange cells on the pipelined
-// engine with frames randomly duplicated. A duplicate within one exchange
+// TestConformanceFaultDuplicate runs single-exchange cells with frames
+// randomly duplicated. A duplicate within one exchange
 // stays queued behind the matched frame (the engines shrink candidate
 // lists, and arrival-order receives skip stale-tag frames), so deliveries
 // must still be bit-identical. The chanpt buffer is sized so leftover

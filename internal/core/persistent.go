@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"stfw/internal/msg"
@@ -62,7 +63,7 @@ type Persistent struct {
 	// every inbound frame against it; Compile uses it to turn receives
 	// into precomputed offset copies.
 	inLayout [][][]slotKey
-	// inFrom[d] lists the dimension-d neighbors in learning receive order.
+	// inFrom[d] lists the dimension-d neighbors in digit order.
 	inFrom [][]int
 	// store is the replay's payload staging table, hoisted out of Run so
 	// repeated replays reuse one map (cleared, not reallocated).
@@ -97,10 +98,11 @@ type nbrFrame struct {
 
 // NewPersistent performs the learning run: it executes the exchange for
 // payloads and returns the deliveries along with a Persistent that can
-// replay the same pattern. The learning run rides the stage machine's
-// ordered discipline — deterministic send and receive order makes the
-// recorded layout reproducible — with recording hooks layered over the
-// dynamic router. It is collective, like Exchange.
+// replay the same pattern. The learning run is the dynamic front-end with
+// recording hooks layered over the router. Frames arrive in any order, and
+// the slot order inside a forwarded frame follows that order, so both
+// endpoints of a frame agree on its layout because the receiver records the
+// frame it got. It is collective, like Exchange.
 func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*Persistent, *Delivered, error) {
 	me := c.Rank()
 	if t.Size() != c.Size() {
@@ -137,9 +139,12 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 	}
 
 	learnSched := buildTopologySchedule(t, me)
+	for d := range learnSched.Stages {
+		p.inFrom[d] = learnSched.Stages[d].RecvFrom
+		p.inLayout[d] = make([][]slotKey, len(p.inFrom[d]))
+	}
 	sm := &stageMachine{
 		sched:   learnSched,
-		ordered: true,
 		traffic: learnSched.Traffic(),
 		outSubs: func(d, _ int, slot SendSlot) ([]msg.Submessage, error) {
 			subs := fb.Take(d, t.Digit(slot.To, d))
@@ -159,16 +164,11 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 				inSlots[i] = k
 				p.sizes[k] = len(sub.Data)
 			}
-			p.inFrom[d] = append(p.inFrom[d], from)
-			p.inLayout[d] = append(p.inLayout[d], inSlots)
+			p.inLayout[d][slices.Index(p.inFrom[d], from)] = inSlots
 			return scatterFrame(t, me, d, fb, out, subs, nil)
 		},
-		finish: func(bool) error {
-			if left := fb.SubCount(); left != 0 {
-				return fmt.Errorf("core: rank %d: %d submessages left undelivered", me, left)
-			}
-			msg.SortSubs(out.Subs)
-			return nil
+		finish: func() error {
+			return finishDynamic(me, fb, out)
 		},
 	}
 	if err := sm.run(c, me); err != nil {
@@ -257,13 +257,11 @@ func (p *Persistent) learnedInSlots(d, from int) ([]slotKey, bool) {
 // number of times, with the same options. For fixed payload sizes, the
 // compiled Replay (see Compile) iterates strictly faster.
 //
-// Run is the learned-schedule front-end of the stage machine, so by
-// default an iteration gets the pipelined discipline: sends stream from a
-// worker goroutine through pooled frame buffers (no per-frame copies), and
-// inbound frames are served in arrival order. Every inbound submessage is
+// Run is the learned-schedule front-end of the stage machine: frames are
+// filled from the learned slot lists into pooled buffers, and inbound
+// frames are served in arrival order. Every inbound submessage is
 // validated against the learned slot layout of its frame; a frame whose
 // slots deviate from the pattern is rejected rather than silently staged.
-// Ordered() restores the learning run's serial discipline.
 func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...ExchangeOpt) (*Delivered, error) {
 	var opt exchangeOptions
 	for _, o := range opts {
@@ -302,13 +300,8 @@ func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...Exchan
 	out := &Delivered{}
 	sm := &stageMachine{
 		sched:   p.Schedule(),
-		ordered: opt.ordered,
-		// A replay's frames are precomputed slot fills — too cheap to be
-		// worth a worker handoff per stage — so issue the pooled sends
-		// inline and keep the pipelining on the receive side.
-		inlineSend: true,
-		tele:       tele,
-		traffic:    p.Traffic(),
+		tele:    tele,
+		traffic: p.Traffic(),
 		// Fill the learned frame's slot list from the store; slots are
 		// consumed (deleted) so a payload forwarded in a later stage cannot
 		// be sent twice.
@@ -354,7 +347,7 @@ func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...Exchan
 			}
 			return delivered, nil
 		},
-		finish: func(pooled bool) error {
+		finish: func() error {
 			out.Subs = make([]msg.Submessage, len(p.deliver))
 			for i, k := range p.deliver {
 				data, ok := store[k]
@@ -363,9 +356,7 @@ func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...Exchan
 				}
 				out.Subs[i] = msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: data}
 			}
-			if pooled {
-				msg.CompactSubs(out.Subs)
-			}
+			msg.CompactSubs(out.Subs)
 			return nil
 		},
 	}

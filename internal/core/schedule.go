@@ -2,13 +2,14 @@
 // path: a per-rank program of n communication stages, each listing the
 // outbound frame slots (destination, in send order, with the expected
 // submessage occupancy when a front-end knows it) and the expected inbound
-// sender set. One stage machine (engine.go) executes the IR under a
-// configurable receive policy and frame-sourcing discipline; what differs
+// sender set. One stage machine (engine.go) executes the IR; what differs
 // between the public APIs is only which front-end builds the schedule:
 //
 //   - dynamic    — from the topology alone (Exchange without a plan):
 //     every dimension-d neighbor is both a send and a receive slot, and
 //     routing decisions are made per submessage as frames land;
+//   - census     — the dynamic schedule retagged onto CensusTag(d) (Census,
+//     behind dynamic.Discover), carrying announcements instead of payloads;
 //   - plan-driven — from a static Plan's route entries (Exchange with
 //     WithPlan): the same stage structure annotated with each outbound
 //     frame's exact submessage count, so the rank's forward buffers are
@@ -59,8 +60,7 @@ type ScheduleStage struct {
 	// rank's receive count deterministic.
 	Sends []SendSlot
 	// RecvFrom is the set of ranks that send this rank a frame in the
-	// stage. The receive policy (fixed-order vs arrival-order) chooses the
-	// order in which they are served.
+	// stage. The engine serves them in arrival order.
 	RecvFrom []int
 }
 

@@ -79,8 +79,10 @@ func decodeAnnouncement(b []byte) (remove bool, size int, err error) {
 // rank needs, and the union of all ranks' returns covers every mutation
 // exactly once per route hop.
 //
-// The census uses its own tag range (core.CensusTag), so it can interleave
-// with payload exchanges on the same communicator. It is collective: every
+// The census runs on the stage machine through core.Census, under its own
+// tag range (core.CensusTag), so it can interleave with payload exchanges
+// on the same communicator; Discover itself only seeds, validates and
+// decodes announcements. It is collective: every
 // rank of the world must call it, with possibly empty deltas. Cost is one
 // frame per neighbor per stage — the same regular message count as a data
 // exchange, but with 5-byte announcements instead of payloads.
@@ -91,7 +93,7 @@ func Discover(c runtime.Comm, t *vpt.Topology, delta Delta) (*core.PatchDelta, e
 	}
 
 	out := &core.PatchDelta{}
-	fb := msg.NewForwardBuffers(t.Dims())
+	var seeds []msg.Submessage
 	seed := func(dst, size int, remove bool, seen map[int]bool) error {
 		if dst < 0 || dst >= t.Size() {
 			return fmt.Errorf("dynamic: rank %d: destination %d out of range", me, dst)
@@ -102,8 +104,7 @@ func Discover(c runtime.Comm, t *vpt.Topology, delta Delta) (*core.PatchDelta, e
 		seen[dst] = true
 		out.Pairs = append(out.Pairs, core.PatchPair{Src: me, Dst: dst, Size: size, Remove: remove})
 		if dst != me {
-			d := t.FirstDiff(me, dst)
-			fb.Put(d, t.Digit(dst, d), msg.Submessage{Src: me, Dst: dst, Data: encodeAnnouncement(remove, size)})
+			seeds = append(seeds, msg.Submessage{Src: me, Dst: dst, Data: encodeAnnouncement(remove, size)})
 		}
 		return nil
 	}
@@ -123,60 +124,18 @@ func Discover(c runtime.Comm, t *vpt.Topology, delta Delta) (*core.PatchDelta, e
 		}
 	}
 
-	// The census stage loop mirrors the ordered exchange discipline: one
-	// frame to every dimension-d neighbor in digit order (empty when no
-	// announcement routes through it), then one frame from each of them.
-	// Announcements scatter into later-stage buffers exactly like payload
-	// submessages — the route *is* the payload's future route.
-	var in msg.Message
-	for d := 0; d < t.N(); d++ {
-		tag := core.CensusTag(d)
-		myDigit := t.Digit(me, d)
-		for x := 0; x < t.Dim(d); x++ {
-			if x == myDigit {
-				continue
-			}
-			nbr := t.WithDigit(me, d, x)
-			frame := msg.Encode(nil, &msg.Message{From: me, To: nbr, Subs: fb.Take(d, x)})
-			if err := c.Send(nbr, tag, frame); err != nil {
-				return nil, fmt.Errorf("dynamic: rank %d census stage %d send to %d: %w", me, d, nbr, err)
-			}
+	// Every announcement this rank receives, delivered or in transit, names
+	// a pair whose route crosses it.
+	err := core.Census(c, t, seeds, func(d int, sub msg.Submessage) error {
+		remove, size, err := decodeAnnouncement(sub.Data)
+		if err != nil {
+			return fmt.Errorf("dynamic: rank %d census stage %d: pair %d->%d: %w", me, d, sub.Src, sub.Dst, err)
 		}
-		for x := 0; x < t.Dim(d); x++ {
-			if x == myDigit {
-				continue
-			}
-			nbr := t.WithDigit(me, d, x)
-			raw, err := c.Recv(nbr, tag)
-			if err != nil {
-				return nil, fmt.Errorf("dynamic: rank %d census stage %d recv from %d: %w", me, d, nbr, err)
-			}
-			if err := msg.DecodeInto(&in, raw); err != nil {
-				return nil, fmt.Errorf("dynamic: rank %d census stage %d frame from %d: %w", me, d, nbr, err)
-			}
-			if in.From != nbr || in.To != me {
-				return nil, fmt.Errorf("dynamic: rank %d census stage %d: frame claims %d->%d, transport says %d->%d",
-					me, d, in.From, in.To, nbr, me)
-			}
-			for _, sub := range in.Subs {
-				remove, size, err := decodeAnnouncement(sub.Data)
-				if err != nil {
-					return nil, fmt.Errorf("dynamic: rank %d census stage %d: pair %d->%d: %w", me, d, sub.Src, sub.Dst, err)
-				}
-				out.Pairs = append(out.Pairs, core.PatchPair{Src: sub.Src, Dst: sub.Dst, Size: size, Remove: remove})
-				if sub.Dst == me {
-					continue
-				}
-				c2 := t.NextDiff(me, sub.Dst, d)
-				if c2 < 0 {
-					return nil, fmt.Errorf("dynamic: rank %d census stage %d: announcement for %d cannot be forwarded", me, d, sub.Dst)
-				}
-				fb.Put(c2, t.Digit(sub.Dst, c2), sub)
-			}
-		}
-	}
-	if left := fb.SubCount(); left != 0 {
-		return nil, fmt.Errorf("dynamic: rank %d: %d announcements left undelivered", me, left)
+		out.Pairs = append(out.Pairs, core.PatchPair{Src: sub.Src, Dst: sub.Dst, Size: size, Remove: remove})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

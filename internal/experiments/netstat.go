@@ -105,8 +105,8 @@ func NetstatRun(cfg NetstatConfig, reg *telemetry.Registry, comms []runtime.Comm
 		if err != nil {
 			return err
 		}
-		// Spans cover only the steady-state replays: the learning run's
-		// ordered discipline has different timing and would skew the
+		// Spans cover only the steady-state replays: the learning run
+		// routes and records as it goes, so its timing would skew the
 		// per-stage measurement the model is compared against.
 		p.Instrument(reg.Rank(c.Rank()))
 		for i := 0; i < cfg.Iters; i++ {

@@ -6,12 +6,11 @@ import (
 )
 
 // Frame arena: process-wide sync.Pools of encode/receive buffers for the
-// exchange hot path. The ordered legacy engine allocates a fresh copy of
-// every frame it sends; the pipelined engine instead encodes into pooled
-// buffers and recycles them once no one references the bytes any more —
-// after Send returns on copying transports, or on the receiving rank once
-// the exchange has scattered (and, for deliveries, copied) the frame's
-// submessages on retaining transports.
+// exchange hot path. The stage engine and the compiled replay encode every
+// frame into a pooled buffer and recycle it once no one references the
+// bytes any more — after Send returns on copying transports, or on the
+// receiving rank once the exchange has scattered (and, for deliveries,
+// copied) the frame's submessages on retaining transports.
 //
 // Buffers are pooled in power-of-two size classes. Frame sizes in one
 // exchange span orders of magnitude (empty frames are a dozen bytes,

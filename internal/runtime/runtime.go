@@ -35,8 +35,8 @@ type Comm interface {
 }
 
 // AnyReceiver is an optional Comm extension for arrival-order receives: the
-// pipelined exchange engine uses it to process whichever neighbor's frame
-// lands first instead of blocking on a fixed neighbor order. Transports that
+// stage engine uses it to process whichever neighbor's frame lands first
+// instead of blocking on a fixed neighbor order. Transports that
 // can match frames out of sender order implement it; for everything else
 // RecvAnyOf degrades to a conforming fixed-order fallback.
 type AnyReceiver interface {
@@ -73,17 +73,12 @@ func RecvAnyOf(c Comm, tag int, from []int) (int, []byte, error) {
 	return from[0], payload, err
 }
 
-// RecvPolicy tracks the outstanding senders of one receive round and hands
-// out frames under a fixed discipline: with Arrival set it serves whichever
-// expected frame lands first (RecvAnyOf, falling back transparently on
-// transports without a matcher), otherwise it issues targeted Recvs in the
-// listed order. The stage engine resets one policy per stage, so receive
-// ordering is decided in exactly one place instead of per engine variant.
-// Reset reuses the policy's backing storage; a zero RecvPolicy is ready for
-// use.
+// RecvPolicy tracks the outstanding senders of one receive round and
+// serves whichever expected frame lands first (RecvAnyOf, falling back
+// transparently to fixed-order receives on transports without a matcher).
+// The stage engine resets one policy per stage. Reset reuses the policy's
+// backing storage; a zero RecvPolicy is ready for use.
 type RecvPolicy struct {
-	// Arrival selects arrival-order matching; false means fixed listed order.
-	Arrival bool
 	buf     []int
 	pending []int
 }
@@ -98,22 +93,13 @@ func (p *RecvPolicy) Reset(from []int) {
 // Outstanding returns how many expected frames have not been received yet.
 func (p *RecvPolicy) Outstanding() int { return len(p.pending) }
 
-// Next receives one frame from an outstanding sender under the policy's
-// discipline and removes that sender from the round. On error the returned
-// sender is the rank the targeted Recv was issued to, or -1 when the
-// arrival-order matcher failed before attributing a sender.
+// Next receives one frame from an outstanding sender and removes that
+// sender from the round. A transport that answers with any other sender
+// breaks the RecvAnyOf contract; Next then returns the frame with an error
+// so the caller can recycle it.
 func (p *RecvPolicy) Next(c Comm, tag int) (int, []byte, error) {
 	if len(p.pending) == 0 {
 		return -1, nil, errors.New("runtime: RecvPolicy.Next with no outstanding senders")
-	}
-	if !p.Arrival {
-		from := p.pending[0]
-		payload, err := c.Recv(from, tag)
-		if err != nil {
-			return from, nil, err
-		}
-		p.pending = p.pending[1:]
-		return from, payload, nil
 	}
 	from, payload, err := RecvAnyOf(c, tag, p.pending)
 	if err != nil {
@@ -122,10 +108,10 @@ func (p *RecvPolicy) Next(c Comm, tag int) (int, []byte, error) {
 	for i, q := range p.pending {
 		if q == from {
 			p.pending = append(p.pending[:i], p.pending[i+1:]...)
-			break
+			return from, payload, nil
 		}
 	}
-	return from, payload, nil
+	return from, payload, fmt.Errorf("runtime: frame from %d, which is not an outstanding sender", from)
 }
 
 // SendRetainer is an optional Comm extension declaring whether Send retains

@@ -20,8 +20,8 @@ type StageMapper func(tag int) (stage int, ok bool)
 // on a nil registry returns c unchanged.
 //
 // The wrapper adds a handful of atomic increments per frame and allocates
-// nothing, so it can stay installed under the zero-alloc gate; both the
-// pipelined and the Ordered() engine see identical semantics through it.
+// nothing, so it can stay installed under the zero-alloc gate; the engines
+// see the same semantics through it as through the bare transport.
 func (g *Registry) WrapComm(c runtime.Comm, stageOf StageMapper) runtime.Comm {
 	if g == nil {
 		return c

@@ -26,9 +26,8 @@
 // endpoint (ServeDebug: expvar counters, pprof, trace download).
 //
 // Span rings are sized by Config.SpanCap and overwrite oldest entries when
-// they wrap; counters never saturate. Spans may be recorded from the two
-// goroutines a rank legitimately runs (main loop and the pipelined send
-// worker): slots are claimed with an atomic cursor, so concurrent writers
+// they wrap; counters never saturate. Spans may be recorded from any
+// goroutine: slots are claimed with an atomic cursor, so concurrent writers
 // never tear each other's entries, though a reader racing a writer on a
 // just-reclaimed slot may observe a mixed span. Snapshots are therefore
 // advisory during a run and exact once the run has quiesced (e.g. after

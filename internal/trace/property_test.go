@@ -154,44 +154,3 @@ func TestPipelinedExchangeMatchesPlan(t *testing.T) {
 		}
 	}
 }
-
-// TestOrderedAndPipelinedSameTrace locks the two engines together at the
-// frame level: same plan-conformant frame multiset from either engine.
-func TestOrderedAndPipelinedSameTrace(t *testing.T) {
-	tp, err := vpt.New(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(73))
-	s := propSendSets(rng, tp.Size())
-	plan, err := core.BuildPlan(tp, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range [][]core.ExchangeOpt{nil, {core.Ordered()}} {
-		w, err := chanpt.NewWorld(tp.Size(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := trace.NewRecorder(tp.N())
-		comms := w.Comms()
-		wrapped := make([]runtime.Comm, len(comms))
-		for i, c := range comms {
-			wrapped[i] = rec.Wrap(c)
-		}
-		err = runtime.Run(wrapped, func(c runtime.Comm) error {
-			payloads := map[int][]byte{}
-			for _, pr := range s.Sets[c.Rank()] {
-				payloads[pr.Dst] = propPayload(c.Rank(), pr.Dst, pr.Words)
-			}
-			_, err := core.Exchange(c, tp, payloads, opts...)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.VerifyAgainstPlan(rec.Events(), plan); err != nil {
-			t.Fatalf("opts %v: %v", opts, err)
-		}
-	}
-}

@@ -7,8 +7,8 @@
 //
 // The transport is zero-copy: Send hands the payload slice itself to the
 // receiving rank (SendRetains reports true), and the matcher supports
-// arrival-order receives (runtime.AnyReceiver), so the pipelined exchange
-// engine can process whichever neighbor's frame lands first.
+// arrival-order receives (runtime.AnyReceiver), so the stage engine can
+// process whichever neighbor's frame lands first.
 package chanpt
 
 import (

@@ -7,7 +7,7 @@
 //
 // Each rank's receive side is a frame matcher holding undelivered frames in
 // arrival order, so the transport supports arrival-order receives
-// (runtime.AnyReceiver) for the pipelined exchange engine. Receive buffers
+// (runtime.AnyReceiver) for the stage engine. Receive buffers
 // are drawn from the msg frame arena; the receiving exchange recycles them.
 // Send serializes the payload out of the caller's buffer before returning
 // (into the connection's buffered writer or straight onto the socket), so

@@ -11,14 +11,15 @@
 //   - Reorder: an arrival-order receive (RecvAnyOf) is, with some
 //     probability, served by a targeted Recv on a random candidate instead
 //     of the earliest arrival. This is the adversarial-but-legal service
-//     order: RecvAnyOf callers that track outstanding senders (the stage
-//     machine's RecvPolicy, the compiled replay) must tolerate any order.
-//     NOT safe for callers that pass already-served senders in the
-//     candidate list and rely on arrival-order matching to skip them.
+//     order: RecvAnyOf callers that track outstanding senders (every stage
+//     machine front-end through RecvPolicy, the compiled replay) must
+//     tolerate any order. NOT safe for callers that pass already-served
+//     senders in the candidate list and rely on arrival-order matching to
+//     skip them.
 //   - Duplicate: the frame is sent, then an independent copy is sent
 //     again under the same triple. The duplicate violates the one-frame-
-//     per-neighbor-per-stage schedule contract; engines survive a
-//     duplicate within one exchange (the extra frame stays queued behind
+//     per-neighbor-per-stage schedule contract; the stage machine survives
+//     a duplicate within one exchange (the extra frame stays queued behind
 //     the matched one) but a subsequent exchange reusing the tag would
 //     mis-match it. Use in single-exchange tests.
 //   - Drop: the frame is silently discarded. Always contract-violating;

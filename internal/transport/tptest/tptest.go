@@ -1,8 +1,8 @@
 // Package tptest is the shared conformance harness for transport
 // implementations of runtime.Comm and its optional extensions. Every
 // transport must honor the same matcher contract — the stage machine's
-// arrival-order receive discipline (runtime.RecvPolicy over RecvAnyOf) is
-// only sound if frames from unlisted senders or with other tags stay queued
+// arrival-order receives (runtime.RecvPolicy over RecvAnyOf) are only
+// sound if frames from unlisted senders or with other tags stay queued
 // — so the contract is tested in one place and each transport's test file is
 // a thin caller passing a world factory and the transport's expected
 // properties. The helper-semantics suite (RunHelperSemantics) covers the

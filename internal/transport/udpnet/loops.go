@@ -364,6 +364,12 @@ func (w *World) deliverChunk(rs *rankState, rl *recvLink, c chunk) bool {
 	if c.tag == ctrlEnter || c.tag == ctrlRelease {
 		msg.PutFrame(payload)
 		w.handleCtrl(rs, c.tag)
+		// A barrier frame is a stage of its own: ack it at batch end
+		// rather than after the suppression delay, so a peer closing
+		// right after the barrier sees it acknowledged at once.
+		rl.mu.Lock()
+		rl.stageComplete = true
+		rl.mu.Unlock()
 		return true
 	}
 	if !rs.ib.push(inFrame{from: rl.peer, tag: c.tag, payload: payload}) {

@@ -62,6 +62,9 @@ const (
 	// fastResendGap suppresses duplicate gap-triggered resends from
 	// consecutive acks carrying the same bitmap.
 	fastResendGap = 2 * time.Millisecond
+	// linger bounds how long Close waits for frames bound for ranks in
+	// other processes to be acknowledged before it closes the sockets.
+	linger = 2 * time.Second
 
 	// recvBatchMax is the recvmmsg batch width.
 	recvBatchMax = 16
@@ -447,11 +450,18 @@ func (w *World) isClosed() bool {
 	}
 }
 
-// Close shuts the world down: sockets close (unblocking the receiver
+// Close shuts the world down: frames bound for remote ranks get up to
+// linger to be acknowledged, then sockets close (unblocking the receiver
 // goroutines), queues and waiters wake, goroutines drain, and retained
 // packet buffers return to the ring.
 func (w *World) Close() {
-	w.closeOnce.Do(func() { close(w.closed) })
+	w.closeOnce.Do(func() {
+		deadline := time.Now().Add(linger)
+		for !w.remoteIdle() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		close(w.closed)
+	})
 	for _, rs := range w.local {
 		rs.conn.Close()
 		rs.out.mu.Lock()
@@ -501,6 +511,28 @@ func (w *World) Close() {
 			}
 		}
 	}
+}
+
+// remoteIdle reports whether every frame sent to a rank outside this world
+// has been transmitted and acknowledged. Send only queues a frame, so a
+// process that closes right after its last send (the barrier coordinator
+// releasing the other processes' ranks) would otherwise take the frame
+// down with its sockets, and the remote ranks would wait for it forever.
+func (w *World) remoteIdle() bool {
+	for _, rs := range w.local {
+		for p, sl := range rs.sl {
+			if w.byRank[p] != nil {
+				continue
+			}
+			sl.mu.Lock()
+			busy := sl.open != nil || sl.backlogHead < len(sl.backlog) || sl.inFlight() > 0
+			sl.mu.Unlock()
+			if busy {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Comms returns one communicator per local rank, in rank order. For a

@@ -341,6 +341,59 @@ func TestGroupTwoWorlds(t *testing.T) {
 	}
 }
 
+// TestGroupCloseFlushesRemote pins the multi-process shutdown race: a world
+// that closes right after its last Send (the barrier coordinator releasing
+// another process's ranks) must still get those frames to the remote rank,
+// even when its first transmissions are lost. Send only queues a frame, so
+// a Close that tore the socket down at once would strand them.
+func TestGroupCloseFlushesRemote(t *testing.T) {
+	const frames = 8
+	conns, addrs, err := Bind(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wA, err := NewGroup(GroupConfig{Size: 2, Local: []int{0}, Conns: conns[:1], Addrs: addrs}, WithLoss(0.5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wB, err := NewGroup(GroupConfig{Size: 2, Local: []int{1}, Conns: conns[1:], Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wB.Close()
+	a, b := wA.Comms()[0], wB.Comms()[0]
+	for i := 0; i < frames; i++ {
+		if err := a.Send(1, 1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wA.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			p, err := b.Recv(0, 1)
+			if err != nil {
+				done <- err
+				return
+			}
+			if len(p) != 1 || int(p[0]) != i {
+				done <- fmt.Errorf("frame %d: got %v", i, p)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("frames sent before Close never reached the remote rank")
+	}
+}
+
 // TestRingSteadyState proves the bounded-allocation claim: after a warmup
 // exchange, further iterations mint no new packet buffers.
 func TestRingSteadyState(t *testing.T) {

@@ -1,11 +1,10 @@
 package stfw
 
-// Benchmarks for the pipelined stage engine: the same seeded workload run
-// through the legacy ordered engine and the default pipelined one, across
-// world sizes and skew patterns. The pipelined engine overlaps each stage's
-// sends (worker goroutine, pooled frame buffers) with arrival-order
-// receives, so it should win on wall clock AND allocations — run with
-// `go test -bench PipelinedVsOrdered -benchmem` to see both.
+// Benchmarks for the stage engine: the same seeded workload run through the
+// dynamic and the plan-driven schedule front-ends, across world sizes and
+// skew patterns — run with `go test -bench PipelinedVsOrdered -benchmem`.
+// The benchmark and case names predate the removal of the ordered engine
+// and are kept so base-vs-head comparisons keep pairing.
 
 import (
 	"math/rand"
@@ -106,7 +105,6 @@ func benchEnginesDim(b *testing.B, K, n int, s *SendSets) {
 		name string
 		opts []ExchangeOpt
 	}{
-		{"ordered", []ExchangeOpt{Ordered()}},
 		{"pipelined", nil},
 		{"pipelined-plan", []ExchangeOpt{WithPlan(plan)}},
 	}
@@ -133,8 +131,9 @@ func benchEnginesDim(b *testing.B, K, n int, s *SendSets) {
 	}
 }
 
-// BenchmarkPipelinedVsOrdered is the headline comparison: same world, same
-// topology, same payloads; only the stage engine differs.
+// BenchmarkPipelinedVsOrdered runs the exchange on the hot-spot and
+// power-law patterns: same world, same topology, same payloads; only the
+// schedule front-end differs.
 func BenchmarkPipelinedVsOrdered(b *testing.B) {
 	for _, K := range []int{64, 256, 1024} {
 		K := K
@@ -147,8 +146,8 @@ func BenchmarkPipelinedVsOrdered(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelinedDirect compares the two engines of the baseline
-// DirectExchange on the hot-spot pattern.
+// BenchmarkPipelinedDirect runs the baseline DirectExchange on the hot-spot
+// pattern.
 func BenchmarkPipelinedDirect(b *testing.B) {
 	K := 256
 	s := scaleWords(hotSpotSends(K, 8), benchWordScale)
@@ -160,31 +159,22 @@ func BenchmarkPipelinedDirect(b *testing.B) {
 			recvFrom[rank] = append(recvFrom[rank], pr.Dst)
 		}
 	}
-	for _, eng := range []struct {
-		name string
-		opts []ExchangeOpt
-	}{
-		{"ordered", []ExchangeOpt{Ordered()}},
-		{"pipelined", nil},
-	} {
-		eng := eng
-		b.Run(eng.name, func(b *testing.B) {
-			w, err := LocalWorld(K)
+	b.Run("pipelined", func(b *testing.B) {
+		w, err := LocalWorld(K)
+		if err != nil {
+			b.Fatal(err)
+		}
+		comms := w.Comms()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			err := runtime.Run(comms, func(c runtime.Comm) error {
+				_, err := ExchangeDirect(c, payloads[c.Rank()], recvFrom[c.Rank()])
+				return err
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			comms := w.Comms()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := runtime.Run(comms, func(c runtime.Comm) error {
-					_, err := ExchangeDirect(c, payloads[c.Rank()], recvFrom[c.Rank()], eng.opts...)
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

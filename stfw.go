@@ -61,16 +61,8 @@ func DirectTopology(K int) (*Topology, error) { return vpt.Direct(K) }
 // power-of-two K (the hypercube).
 func MaxTopologyDim(K int) int { return vpt.MaxDim(K) }
 
-// ExchangeOpt configures an Exchange or ExchangeDirect call; see Ordered
-// and WithPlan.
+// ExchangeOpt configures an Exchange or ExchangeDirect call; see WithPlan.
 type ExchangeOpt = core.ExchangeOpt
-
-// Ordered selects the stage machine's legacy ordered discipline — sends
-// issued inline with one fresh frame copy each, receives in fixed neighbor
-// order — instead of the default pipelined one (pooled frame buffers,
-// receives in arrival order). The paper-reproduction experiments use it to
-// stay bit-identical with the original executor.
-func Ordered() ExchangeOpt { return core.Ordered() }
 
 // WithPlan switches the exchange onto the plan-driven schedule front-end:
 // the per-rank stage schedule is derived once from the static plan (and
