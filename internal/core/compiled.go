@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -46,7 +47,9 @@ type Replay struct {
 	// stages memcpy forwarded payloads out of them. Entries are recycled
 	// into the frame arena at the end of every Run.
 	inFrames [][]byte
-	pending  []int // scratch for arrival-order receives, reused across runs
+	// pol serves each stage's receives in arrival order; its storage is
+	// reused across runs.
+	pol runtime.RecvPolicy
 	// inLoc caches each forwarded slot's retained-frame location, so
 	// PatchCompiled can re-lower dirty frames without re-deriving the
 	// locations of slots in clean inbound frames. Entries for removed slots
@@ -141,98 +144,154 @@ type slotLoc struct {
 //
 // Deliveries are scattered into Run's halo slice in the learned delivery
 // order (sorted by source rank), one contiguous word block per source.
+//
+// Compile builds only the fixed skeleton; everything pattern-dependent is
+// laid out by the same walk PatchCompiled runs, with every frame dirty.
 func (p *Persistent) Compile(xlen int, gather map[int][]int32) (*Replay, error) {
-	me := p.rank
 	if err := p.checkGather(xlen, gather); err != nil {
 		return nil, err
 	}
+	sched := p.Schedule()
+	r := &Replay{me: p.rank, size: p.topo.Size(), stages: make([]rStage, len(sched.Stages))}
+	all := &PatchStats{dirtyOut: make(map[frameRef]bool), haloDirty: true}
+	nextFrame := int32(0)
+	for d := range r.stages {
+		st, ss := &r.stages[d], &sched.Stages[d]
+		st.tag, st.dim = ss.Tag, ss.Dim
+		st.frames = make([]rFrame, len(ss.Sends))
+		for j, slot := range ss.Sends {
+			st.frames[j].to = slot.To
+			all.dirtyOut[frameRef{d, j}] = true
+		}
+		n := len(ss.RecvFrom)
+		st.recvFrom = append([]int(nil), ss.RecvFrom...)
+		st.inIdx = make([]int32, n)
+		for j := range st.inIdx {
+			st.inIdx[j] = nextFrame
+			nextFrame++
+		}
+		st.inSize = make([]int32, n)
+		st.inNsubs = make([]int32, n)
+		st.delivers = make([][]deliverOp, n)
+	}
+	r.inFrames = make([][]byte, nextFrame)
+	if err := p.lower(r, xlen, gather, all); err != nil {
+		return nil, fmt.Errorf("core: compile: %w", err)
+	}
+	return r, nil
+}
 
-	r := &Replay{me: me, size: p.topo.Size(), xlen: xlen}
+// lower is the one lowering walk of the compiled tier: it brings r's
+// pattern-dependent state in line with p's current learned pattern,
+// visiting the stages once, in order. r's skeleton (tags, send slots,
+// inbound senders and retention indices) must already match p.Schedule().
+//
+// The halo offsets and self ops are always rebuilt. A dirty inbound frame
+// is re-laid: its size, submessage count, deliver ops and the inLoc entries
+// of the slots it carries onward. A dirty outbound frame is recompiled
+// (fresh template). A clean outbound frame keeps its template and has its
+// ops re-pointed only when it forwards out of a re-laid inbound frame —
+// forward sources lie strictly in earlier stages, which the walk has
+// already visited. A dirty halo, a changed xlen or a replay without an
+// inLoc cache (the skeleton Compile hands over) widens the dirty set to
+// every inbound frame and every clean outbound frame.
+func (p *Persistent) lower(r *Replay, xlen int, gather map[int][]int32, stats *PatchStats) error {
+	me := int32(p.rank)
+	widen := stats.haloDirty || xlen != r.xlen || r.inLoc == nil
 
 	// Halo layout: one contiguous word block per delivery slot, in the
 	// learned (sorted-by-source) order. Self deliveries come straight from
 	// x; everything else is bound to an inbound frame region below.
 	haloOff := make(map[slotKey]int32, len(p.deliver))
-	bound := make(map[slotKey]bool, len(p.deliver))
+	r.selfs = r.selfs[:0]
 	off := int32(0)
 	for _, k := range p.deliver {
 		n := p.sizes[k]
 		if n%8 != 0 {
-			return nil, fmt.Errorf("core: compile: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", k.src, k.dst, n)
+			return fmt.Errorf("delivery %d->%d has %d bytes, compiled replays require word-sized payloads", k.src, k.dst, n)
 		}
 		haloOff[k] = off
+		if k.src == me {
+			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], haloOff: off})
+		}
 		off += int32(n / 8)
-		if k.src == int32(me) {
-			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], haloOff: haloOff[k]})
-			bound[k] = true
+	}
+	r.haloWords, r.xlen = int(off), xlen
+
+	var bound map[slotKey]bool // deliveries bound to a region, checked when every frame is laid
+	if widen {
+		bound = make(map[slotKey]bool, len(p.deliver))
+		if r.inLoc == nil {
+			r.inLoc = make(map[slotKey]slotLoc)
+		} else {
+			clear(r.inLoc)
 		}
 	}
-	r.haloWords = int(off)
-
-	inLoc := make(map[slotKey]slotLoc)
-	nextFrame := int32(0)
-	maxNbrs := 0
-	sched := p.Schedule()
-	r.stages = make([]rStage, len(sched.Stages))
+	relaid := make([]bool, len(r.inFrames)) // by retention index
 	for d := range r.stages {
 		st := &r.stages[d]
-		ss := &sched.Stages[d]
-		st.tag = ss.Tag
-		st.dim = ss.Dim
-
-		// Outgoing frames follow the schedule's send slots (learning send
-		// order, empty frames included); each slot's learned wire layout
-		// becomes a pre-encoded template.
-		st.frames = make([]rFrame, 0, len(ss.Sends))
-		for j, slot := range ss.Sends {
+		for j := range st.frames {
+			f := &st.frames[j]
 			var slots []slotKey
 			if nf := p.nbrFrames[d][j]; nf.f != nil {
 				slots = nf.f.slots
 			}
-			f, err := p.compileFrame(me, slot.To, slots, gather, inLoc)
-			if err != nil {
-				return nil, fmt.Errorf("core: compile: stage %d frame to %d: %w", d, slot.To, err)
+			dirty := stats.dirtyOut[frameRef{d, j}]
+			if dirty {
+				f.tmpl = p.frameTemplate(f.to, slots)
 			}
-			st.frames = append(st.frames, f)
+			if dirty || widen || fwdsFrom(f, relaid) {
+				if err := p.frameOps(f, slots, gather, r.inLoc); err != nil {
+					return fmt.Errorf("stage %d frame to %d: %w", d, f.to, err)
+				}
+			}
 		}
-
-		// Inbound frames: register forwarded slots for later stages and
-		// bind deliveries to their frame regions.
-		st.delivers = make([][]deliverOp, len(ss.RecvFrom))
-		for j, from := range ss.RecvFrom {
+		for j := range st.recvFrom {
+			if !widen && !stats.dirtyIn[frameRef{d, j}] {
+				continue
+			}
 			slots := p.inLayout[d][j]
-			st.recvFrom = append(st.recvFrom, from)
-			st.inIdx = append(st.inIdx, nextFrame)
-			st.inNsubs = append(st.inNsubs, int32(len(slots)))
+			st.inNsubs[j] = int32(len(slots))
+			st.delivers[j] = st.delivers[j][:0]
 			fo := int32(msg.MsgHeaderLen)
 			for _, k := range slots {
 				n := int32(p.sizes[k])
 				payloadOff := fo + msg.SubHeaderLen
-				if k.dst == int32(me) {
+				if k.dst == me {
 					st.delivers[j] = append(st.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
-					bound[k] = true
+					if bound != nil {
+						bound[k] = true
+					}
 				} else {
-					inLoc[k] = slotLoc{frame: nextFrame, off: payloadOff}
+					r.inLoc[k] = slotLoc{frame: st.inIdx[j], off: payloadOff}
 				}
 				fo = payloadOff + n
 			}
-			st.inSize = append(st.inSize, fo)
-			nextFrame++
-		}
-		if len(st.recvFrom) > maxNbrs {
-			maxNbrs = len(st.recvFrom)
+			st.inSize[j] = fo
+			relaid[st.inIdx[j]] = true
 		}
 	}
-	for _, k := range p.deliver {
-		if !bound[k] {
-			return nil, fmt.Errorf("core: compile: delivery %d->%d has no inbound frame slot", k.src, k.dst)
+	if widen {
+		for _, k := range p.deliver {
+			if k.src != me && !bound[k] {
+				return fmt.Errorf("delivery %d->%d has no inbound frame slot", k.src, k.dst)
+			}
 		}
 	}
-	r.inFrames = make([][]byte, nextFrame)
-	r.pending = make([]int, 0, maxNbrs)
-	r.inLoc = inLoc
 	r.traffic = r.computeTraffic()
-	return r, nil
+	return nil
+}
+
+// fwdsFrom reports whether a clean outbound frame copies payload out of
+// any re-laid inbound frame — the only reason a clean frame's op table can
+// go stale on a transit-only patch.
+func fwdsFrom(f *rFrame, relaid []bool) bool {
+	for i := range f.fwds {
+		if relaid[f.fwds[i].frame] {
+			return true
+		}
+	}
+	return false
 }
 
 // checkGather validates a gather map against the (current) learned
@@ -262,35 +321,64 @@ func (p *Persistent) checkGather(xlen int, gather map[int][]int32) error {
 	return nil
 }
 
-// compileFrame builds one outgoing frame program: the wire template with
-// header and submessage headers pre-encoded, plus the payload fill ops.
-func (p *Persistent) compileFrame(me, to int, slots []slotKey, gather map[int][]int32, inLoc map[slotKey]slotLoc) (rFrame, error) {
-	size := msg.MsgHeaderLen
-	for _, k := range slots {
-		size += msg.SubHeaderLen + p.sizes[k]
+// frameTemplate pre-encodes the wire template of the outbound frame to
+// `to` carrying the given slots.
+func (p *Persistent) frameTemplate(to int, slots []slotKey) []byte {
+	subs := make([]msg.Submessage, len(slots))
+	for i, k := range slots {
+		subs[i] = msg.Submessage{Src: int(k.src), Dst: int(k.dst), Data: zeroed(p.sizes[k])}
 	}
-	f := rFrame{to: to, tmpl: make([]byte, 0, size)}
-	f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(me))
-	f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(to))
-	f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(len(slots)))
+	return encodeTemplate(p.rank, to, subs)
+}
+
+// encodeTemplate encodes a compiled frame template through msg.Encode,
+// which owns the wire format: headers filled in, payload regions zeroed
+// for Run to overwrite every iteration. Payload offsets into the template
+// follow from msg.MsgHeaderLen and msg.SubHeaderLen.
+func encodeTemplate(from, to int, subs []msg.Submessage) []byte {
+	m := msg.Message{From: from, To: to, Subs: subs}
+	return msg.Encode(make([]byte, 0, msg.EncodedSize(&m)), &m)
+}
+
+// zeroPayload is the read-only source of the zeroed payload regions that
+// template encoding copies; larger payloads allocate their own.
+var zeroPayload [64 << 10]byte
+
+func zeroed(n int) []byte {
+	if n <= len(zeroPayload) {
+		return zeroPayload[:n]
+	}
+	return make([]byte, n)
+}
+
+// frameOps rewrites a frame's payload-fill op tables from its slot list:
+// gather ops point at the caller's gather lists, forward ops at the
+// retained-frame locations in inLoc. The laid-out length is checked
+// against the template, so a stale stats object (marking a dirtied frame
+// clean) is caught here rather than corrupting payload.
+func (p *Persistent) frameOps(f *rFrame, slots []slotKey, gather map[int][]int32, inLoc map[slotKey]slotLoc) error {
+	me := int32(p.rank)
+	f.gathers = f.gathers[:0]
+	f.fwds = f.fwds[:0]
+	fo := int32(msg.MsgHeaderLen)
 	for _, k := range slots {
-		n := p.sizes[k]
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(k.src))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(k.dst))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(n))
-		payloadOff := int32(len(f.tmpl))
-		f.tmpl = append(f.tmpl, make([]byte, n)...)
-		if k.src == int32(me) {
+		n := int32(p.sizes[k])
+		payloadOff := fo + msg.SubHeaderLen
+		if k.src == me {
 			f.gathers = append(f.gathers, gatherOp{off: payloadOff, idx: gather[int(k.dst)]})
 		} else {
 			l, ok := inLoc[k]
 			if !ok {
-				return rFrame{}, fmt.Errorf("forwarded slot %d->%d not received in an earlier stage", k.src, k.dst)
+				return fmt.Errorf("forwarded slot %d->%d not received in an earlier stage", k.src, k.dst)
 			}
-			f.fwds = append(f.fwds, fwdOp{dstOff: payloadOff, frame: l.frame, srcOff: l.off, n: int32(n)})
+			f.fwds = append(f.fwds, fwdOp{dstOff: payloadOff, frame: l.frame, srcOff: l.off, n: n})
 		}
+		fo = payloadOff + n
 	}
-	return f, nil
+	if int(fo) != len(f.tmpl) {
+		return fmt.Errorf("slots lay out %d bytes, template has %d (stale patch stats?)", fo, len(f.tmpl))
+	}
+	return nil
 }
 
 // NewDirectReplay compiles the baseline (BL) iteration for one rank: one
@@ -359,21 +447,15 @@ func NewDirectReplay(me, size, xlen int, gather map[int][]int32, srcWords map[in
 			continue // self payload never touches the transport
 		}
 		idx := gather[dst]
-		n := 8 * len(idx)
-		f := rFrame{to: dst, tmpl: make([]byte, 0, msg.MsgHeaderLen+msg.SubHeaderLen+n)}
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(me))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(dst))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, 1)
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(me))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(dst))
-		f.tmpl = binary.LittleEndian.AppendUint32(f.tmpl, uint32(n))
-		f.gathers = append(f.gathers, gatherOp{off: int32(len(f.tmpl)), idx: idx})
-		f.tmpl = append(f.tmpl, make([]byte, n)...)
+		f := rFrame{
+			to:      dst,
+			tmpl:    encodeTemplate(me, dst, []msg.Submessage{{Src: me, Dst: dst, Data: zeroed(8 * len(idx))}}),
+			gathers: []gatherOp{{off: msg.MsgHeaderLen + msg.SubHeaderLen, idx: idx}},
+		}
 		st.frames = append(st.frames, f)
 	}
 	r.stages = []rStage{st}
 	r.inFrames = make([][]byte, len(st.recvFrom))
-	r.pending = make([]int, 0, len(st.recvFrom))
 	r.traffic = r.computeTraffic()
 	return r, nil
 }
@@ -447,29 +529,17 @@ func (r *Replay) Run(c runtime.Comm, x []float64, halo []float64) error {
 			mark = r.tele.SpanMark(telemetry.KForward, si, mark)
 		}
 
-		pending := append(r.pending[:0], st.recvFrom...)
-		for len(pending) > 0 {
-			from, raw, err := runtime.RecvAnyOf(c, st.tag, pending)
+		r.pol.Reset(st.recvFrom)
+		for r.pol.Outstanding() > 0 {
+			from, raw, err := r.pol.Next(c, st.tag)
 			if err != nil {
+				if raw != nil {
+					msg.PutFrame(raw)
+				}
 				return fmt.Errorf("core: rank %d replay stage %d recv: %w", r.me, si, err)
 			}
-			j := -1
-			for i, p := range pending {
-				if p == from {
-					pending = append(pending[:i], pending[i+1:]...)
-					break
-				}
-			}
-			for i, p := range st.recvFrom {
-				if p == from {
-					j = i
-					break
-				}
-			}
-			if j < 0 {
-				msg.PutFrame(raw)
-				return fmt.Errorf("core: rank %d replay stage %d: frame from unexpected sender %d", r.me, si, from)
-			}
+			// The policy only serves outstanding senders, so from is in recvFrom.
+			j := slices.Index(st.recvFrom, from)
 			r.inFrames[st.inIdx[j]] = raw
 			if err := checkFrameHeader(raw, from, r.me, st.inSize[j], st.inNsubs[j]); err != nil {
 				return fmt.Errorf("core: rank %d replay stage %d frame from %d: %w", r.me, si, from, err)

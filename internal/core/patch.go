@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -66,9 +67,8 @@ type PatchStats struct {
 	dirtyOut map[frameRef]bool
 	dirtyIn  map[frameRef]bool
 	// haloDirty records whether any applied pair is delivered to this rank:
-	// those mutations shift the halo layout, so PatchCompiled must rebuild
-	// delivery offsets (and self-scatter bindings) everywhere instead of
-	// taking the frame-local fast path.
+	// those mutations shift the halo layout, so PatchCompiled must re-lay
+	// every inbound frame's deliver ops instead of only the dirty ones.
 	haloDirty bool
 }
 
@@ -121,12 +121,7 @@ func (p *Persistent) outFrameIndex(d, to int) int {
 // inFrameIndex returns the index into inFrom[d]/inLayout[d] of the frame
 // received from `from`.
 func (p *Persistent) inFrameIndex(d, from int) int {
-	for j, f := range p.inFrom[d] {
-		if f == from {
-			return j
-		}
-	}
-	return -1
+	return slices.Index(p.inFrom[d], from)
 }
 
 func containsSlot(slots []slotKey, k slotKey) bool {
@@ -313,7 +308,7 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 		sort.Slice(ks, func(i, j int) bool { return lessSlot(ks[i], ks[j]) })
 		nf := &p.nbrFrames[ref.d][ref.j]
 		if nf.f == nil {
-			nf.f = &pFrame{to: nf.to}
+			nf.f = &pFrame{}
 		}
 		nf.f.slots = append(nf.f.slots, ks...)
 	}
@@ -367,21 +362,23 @@ func (p *Persistent) Patch(delta *PatchDelta) (*PatchStats, error) {
 // PatchCompiled re-lowers an existing Replay after a Patch, rebuilding only
 // what the patch dirtied: frames whose slot lists changed get fresh
 // templates (the expensive part — allocation, header encoding, payload
-// zeroing), while clean frames keep their templates. When no delivery to
-// this rank changed (the common transit-only case) the re-lowering is fully
-// incremental: only dirty inbound frames have their offsets and retained-
-// frame locations recomputed, and only clean frames that forward out of a
-// dirty inbound frame have their copy-op tables re-pointed. A patch that
-// touches the halo layout (a pair delivered here was added, removed, or
-// resized), changes xlen, or meets a pre-cache Replay falls back to a full
-// refresh walk. The receive structure (who sends what frame when, and each
-// frame's retention index) is invariant under patching, so the Replay's
-// steady-state allocation profile is unchanged: replaying a patched
-// schedule still allocates nothing.
+// zeroing), while clean frames keep their templates. It runs the same
+// lowering walk as Compile, over the patch's dirty sets instead of every
+// frame. When no delivery to this rank changed (the common transit-only
+// case) the walk is frame-local: only dirty inbound frames have their
+// offsets and retained-frame locations recomputed, and only clean frames
+// that forward out of one of them have their copy-op tables re-pointed. A
+// patch that touches the halo layout (a pair delivered here was added,
+// removed, or resized), changes xlen, or meets a pre-cache Replay widens
+// the walk to every inbound frame and every clean outbound frame. The
+// receive structure (who sends what frame when, and each frame's retention
+// index) is invariant under patching, so the Replay's steady-state
+// allocation profile is unchanged: replaying a patched schedule still
+// allocates nothing.
 //
 // The Replay must have been compiled from this Persistent (the stage
 // skeleton and tags are cross-checked); xlen and gather carry the same
-// contract as Compile, with one addition the incremental path relies on:
+// contract as Compile, with one addition the frame-local walk relies on:
 // gather lists for destinations untouched by the patch must be equivalent
 // (same indices) to the ones the Replay currently holds — frames none of
 // the patch dirtied keep their existing gather bindings. The caller
@@ -408,201 +405,14 @@ func (p *Persistent) PatchCompiled(r *Replay, xlen int, gather map[int][]int32, 
 	if len(sched.Stages) != len(r.stages) {
 		return fmt.Errorf("core: patch: replay has %d stages, schedule has %d", len(r.stages), len(sched.Stages))
 	}
-	if !stats.haloDirty && xlen == r.xlen && r.inLoc != nil {
-		if err := p.patchCompiledFast(r, sched, gather, stats); err != nil {
-			return err
-		}
-		r.traffic = r.computeTraffic()
-		return nil
-	}
-
-	// Halo layout and self ops: delivery offsets shift whenever any
-	// delivered payload is added, removed, or resized, so both are rebuilt.
-	haloOff := make(map[slotKey]int32, len(p.deliver))
-	bound := make(map[slotKey]bool, len(p.deliver))
-	off := int32(0)
-	r.selfs = r.selfs[:0]
-	for _, k := range p.deliver {
-		n := p.sizes[k]
-		if n%8 != 0 {
-			return fmt.Errorf("core: patch: delivery %d->%d has %d bytes, compiled replays require word-sized payloads", k.src, k.dst, n)
-		}
-		haloOff[k] = off
-		off += int32(n / 8)
-		if k.src == int32(me) {
-			r.selfs = append(r.selfs, selfOp{idx: gather[int(k.dst)], haloOff: haloOff[k]})
-			bound[k] = true
-		}
-	}
-	r.haloWords = int(off)
-	r.xlen = xlen
-
-	inLoc := make(map[slotKey]slotLoc)
 	for d := range r.stages {
-		stg := &r.stages[d]
-		ss := &sched.Stages[d]
+		stg, ss := &r.stages[d], &sched.Stages[d]
 		if stg.tag != ss.Tag || len(stg.frames) != len(ss.Sends) || len(stg.recvFrom) != len(ss.RecvFrom) {
 			return fmt.Errorf("core: patch: replay stage %d does not match the learned schedule (was it compiled from this pattern?)", d)
 		}
-		for j := range ss.Sends {
-			var slots []slotKey
-			if nf := p.nbrFrames[d][j]; nf.f != nil {
-				slots = nf.f.slots
-			}
-			if stats.dirtyOut[frameRef{d, j}] {
-				f, err := p.compileFrame(me, ss.Sends[j].To, slots, gather, inLoc)
-				if err != nil {
-					return fmt.Errorf("core: patch: stage %d frame to %d: %w", d, ss.Sends[j].To, err)
-				}
-				stg.frames[j] = f
-			} else if err := p.refreshFrameOps(&stg.frames[j], slots, gather, inLoc); err != nil {
-				return fmt.Errorf("core: patch: stage %d frame to %d: %w", d, ss.Sends[j].To, err)
-			}
-		}
-		for j := range ss.RecvFrom {
-			slots := p.inLayout[d][j]
-			stg.inNsubs[j] = int32(len(slots))
-			stg.delivers[j] = stg.delivers[j][:0]
-			fo := int32(msg.MsgHeaderLen)
-			for _, k := range slots {
-				n := int32(p.sizes[k])
-				payloadOff := fo + msg.SubHeaderLen
-				if k.dst == int32(me) {
-					stg.delivers[j] = append(stg.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
-					bound[k] = true
-				} else {
-					inLoc[k] = slotLoc{frame: stg.inIdx[j], off: payloadOff}
-				}
-				fo = payloadOff + n
-			}
-			stg.inSize[j] = fo
-		}
 	}
-	for _, k := range p.deliver {
-		if !bound[k] {
-			return fmt.Errorf("core: patch: delivery %d->%d has no inbound frame slot", k.src, k.dst)
-		}
-	}
-	r.inLoc = inLoc
-	r.traffic = r.computeTraffic()
-	return nil
-}
-
-// patchCompiledFast is the transit-only re-lowering: no delivery to this
-// rank changed, so the halo layout, self-scatter ops, and every clean
-// inbound frame's metadata are already correct. Dirty inbound frames get
-// their interior offsets (and inLoc cache entries) recomputed; outbound
-// frames are recompiled when dirty and re-pointed only when they forward
-// payload out of an inbound frame whose interior shifted. Everything else
-// is untouched — the whole walk is O(dirty frames), not O(pattern).
-func (p *Persistent) patchCompiledFast(r *Replay, sched *StageSchedule, gather map[int][]int32, stats *PatchStats) error {
-	me := p.rank
-	// Halo offsets are unchanged (no delivered pair mutated), but dirty
-	// inbound frames still carry deliver ops whose in-frame source offsets
-	// may have shifted; rebuild the offset map to re-point them.
-	haloOff := make(map[slotKey]int32, len(p.deliver))
-	off := int32(0)
-	for _, k := range p.deliver {
-		haloOff[k] = off
-		off += int32(p.sizes[k] / 8)
-	}
-	dirtyFrames := make(map[int32]bool, len(stats.dirtyIn))
-	for d := range r.stages {
-		stg := &r.stages[d]
-		ss := &sched.Stages[d]
-		if stg.tag != ss.Tag || len(stg.frames) != len(ss.Sends) || len(stg.recvFrom) != len(ss.RecvFrom) {
-			return fmt.Errorf("core: patch: replay stage %d does not match the learned schedule (was it compiled from this pattern?)", d)
-		}
-		for j := range ss.RecvFrom {
-			if !stats.dirtyIn[frameRef{d, j}] {
-				continue
-			}
-			slots := p.inLayout[d][j]
-			stg.inNsubs[j] = int32(len(slots))
-			stg.delivers[j] = stg.delivers[j][:0]
-			fo := int32(msg.MsgHeaderLen)
-			for _, k := range slots {
-				n := int32(p.sizes[k])
-				payloadOff := fo + msg.SubHeaderLen
-				if k.dst == int32(me) {
-					stg.delivers[j] = append(stg.delivers[j], deliverOp{srcOff: payloadOff, haloOff: haloOff[k], words: n / 8})
-				} else {
-					r.inLoc[k] = slotLoc{frame: stg.inIdx[j], off: payloadOff}
-				}
-				fo = payloadOff + n
-			}
-			stg.inSize[j] = fo
-			dirtyFrames[stg.inIdx[j]] = true
-		}
-	}
-	for d := range r.stages {
-		stg := &r.stages[d]
-		ss := &sched.Stages[d]
-		for j := range ss.Sends {
-			var slots []slotKey
-			if nf := p.nbrFrames[d][j]; nf.f != nil {
-				slots = nf.f.slots
-			}
-			if stats.dirtyOut[frameRef{d, j}] {
-				f, err := p.compileFrame(me, ss.Sends[j].To, slots, gather, r.inLoc)
-				if err != nil {
-					return fmt.Errorf("core: patch: stage %d frame to %d: %w", d, ss.Sends[j].To, err)
-				}
-				stg.frames[j] = f
-			} else if fwdsFromDirty(&stg.frames[j], dirtyFrames) {
-				if err := p.refreshFrameOps(&stg.frames[j], slots, gather, r.inLoc); err != nil {
-					return fmt.Errorf("core: patch: stage %d frame to %d: %w", d, ss.Sends[j].To, err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// fwdsFromDirty reports whether a clean outbound frame copies payload out
-// of any inbound frame the patch shifted — the only reason a clean frame's
-// op table can go stale.
-func fwdsFromDirty(f *rFrame, dirty map[int32]bool) bool {
-	if len(dirty) == 0 {
-		return false
-	}
-	for i := range f.fwds {
-		if dirty[f.fwds[i].frame] {
-			return true
-		}
-	}
-	return false
-}
-
-// refreshFrameOps rewrites a clean frame's payload-fill op tables in place:
-// the template bytes are untouched (the frame's own wire layout did not
-// change), but gather ops must re-point at the caller's current gather
-// lists and forward ops at the new inbound offsets — an earlier inbound
-// frame that was patched shifts the source regions of everything forwarded
-// out of it. The final offset is checked against the template length, so a
-// stale stats object (marking a dirtied frame clean) is caught here rather
-// than corrupting payload.
-func (p *Persistent) refreshFrameOps(f *rFrame, slots []slotKey, gather map[int][]int32, inLoc map[slotKey]slotLoc) error {
-	me := int32(p.rank)
-	f.gathers = f.gathers[:0]
-	f.fwds = f.fwds[:0]
-	fo := int32(msg.MsgHeaderLen)
-	for _, k := range slots {
-		n := int32(p.sizes[k])
-		payloadOff := fo + msg.SubHeaderLen
-		if k.src == me {
-			f.gathers = append(f.gathers, gatherOp{off: payloadOff, idx: gather[int(k.dst)]})
-		} else {
-			l, ok := inLoc[k]
-			if !ok {
-				return fmt.Errorf("forwarded slot %d->%d not received in an earlier stage", k.src, k.dst)
-			}
-			f.fwds = append(f.fwds, fwdOp{dstOff: payloadOff, frame: l.frame, srcOff: l.off, n: n})
-		}
-		fo = payloadOff + n
-	}
-	if int(fo) != len(f.tmpl) {
-		return fmt.Errorf("clean frame's slots lay out %d bytes, template has %d (stale patch stats?)", fo, len(f.tmpl))
+	if err := p.lower(r, xlen, gather, stats); err != nil {
+		return fmt.Errorf("core: patch: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stfw/internal/runtime"
@@ -103,10 +104,11 @@ func TestSynthWorldMatchesLearned(t *testing.T) {
 					}
 				}
 				for j, from := range sp.inFrom[d] {
-					ls, ok := lp.learnedInSlots(d, from)
-					if !ok {
+					lj := lp.inFrameIndex(d, from)
+					if lj < 0 {
 						t.Fatalf("K=%d rank %d stage %d: learned world has no frame from %d", c.K, me, d, from)
 					}
+					ls := lp.inLayout[d][lj]
 					if !slotsEqual(slotSet(sp.inLayout[d][j]), slotSet(ls)) {
 						t.Fatalf("K=%d rank %d stage %d frame from %d: synth %v, learned %v",
 							c.K, me, d, from, sp.inLayout[d][j], ls)
@@ -123,7 +125,18 @@ func synthMutations(seed int64, K int, pairs map[synthPair]int) []PatchPair {
 	rng := rand.New(rand.NewSource(seed))
 	var muts []PatchPair
 	removed := map[synthPair]bool{}
+	// Visit the base pairs in sorted order so the seed alone fixes the list.
+	sorted := make([]synthPair, 0, len(pairs))
 	for pr := range pairs {
+		sorted = append(sorted, pr)
+	}
+	slices.SortFunc(sorted, func(a, b synthPair) int {
+		if a.src != b.src {
+			return a.src - b.src
+		}
+		return a.dst - b.dst
+	})
+	for _, pr := range sorted {
 		switch rng.Intn(4) {
 		case 0: // remove
 			muts = append(muts, PatchPair{Src: pr.src, Dst: pr.dst, Remove: true})
@@ -346,7 +359,7 @@ func TestPatchResizeAppendsAtTail(t *testing.T) {
 }
 
 // equalReplay compares two compiled replays structurally: templates,
-// op tables, inbound metadata, halo shape.
+// op tables (gather indices included), inbound metadata, halo shape.
 func equalReplay(t *testing.T, label string, a, b *Replay) {
 	t.Helper()
 	if a.haloWords != b.haloWords || a.xlen != b.xlen {
@@ -356,7 +369,7 @@ func equalReplay(t *testing.T, label string, a, b *Replay) {
 		t.Fatalf("%s: %d self ops vs %d", label, len(a.selfs), len(b.selfs))
 	}
 	for i := range a.selfs {
-		if a.selfs[i].haloOff != b.selfs[i].haloOff || len(a.selfs[i].idx) != len(b.selfs[i].idx) {
+		if a.selfs[i].haloOff != b.selfs[i].haloOff || !slices.Equal(a.selfs[i].idx, b.selfs[i].idx) {
 			t.Fatalf("%s: self op %d differs", label, i)
 		}
 	}
@@ -380,7 +393,7 @@ func equalReplay(t *testing.T, label string, a, b *Replay) {
 				t.Fatalf("%s: stage %d frame to %d: op tables differ", label, d, af.to)
 			}
 			for i := range af.gathers {
-				if af.gathers[i].off != bf.gathers[i].off || len(af.gathers[i].idx) != len(bf.gathers[i].idx) {
+				if af.gathers[i].off != bf.gathers[i].off || !slices.Equal(af.gathers[i].idx, bf.gathers[i].idx) {
 					t.Fatalf("%s: stage %d frame to %d: gather op %d differs", label, d, af.to, i)
 				}
 			}
@@ -413,13 +426,24 @@ func equalReplay(t *testing.T, label string, a, b *Replay) {
 // after a Patch, PatchCompiled must leave the Replay structurally identical
 // to compiling the patched Persistent from scratch — and clean frames must
 // keep their template backing arrays (the incremental part is real, not a
-// hidden recompile).
+// hidden recompile). The cases cover every dirty rule: halo-dirty ranks,
+// transit-only ranks at an unchanged xlen (a clean frame that forwards out
+// of a re-laid inbound frame must be re-pointed), and a re-lowering at a
+// new xlen, which widens the walk on ranks the patch left halo-clean.
 func TestPatchCompiledMatchesRecompile(t *testing.T) {
 	const xlen = 128
-	for _, c := range []struct{ K, n int }{{8, 3}, {16, 2}, {12, 2}} {
+	haloDirty, transitOnly, xlenWidened := 0, 0, 0
+	// maxMuts, when set, keeps only the first mutations: a light batch
+	// leaves most ranks transit-only or untouched.
+	for _, c := range []struct{ K, n, patchXlen, maxMuts int }{
+		{8, 3, xlen, 0}, {16, 2, xlen, 0}, {12, 2, xlen, 0}, {16, 4, xlen, 4}, {16, 2, 96, 4},
+	} {
 		tp := synthTopology(t, c.K, c.n)
 		base := synthBasePairs(int64(c.K)+10, c.K)
 		muts := synthMutations(int64(c.K)*7, c.K, base)
+		if c.maxMuts > 0 {
+			muts = muts[:c.maxMuts]
+		}
 		world := synthWorld(tp, base)
 		deltas := synthDeltas(tp, muts)
 		for me, p := range world {
@@ -442,11 +466,19 @@ func TestPatchCompiledMatchesRecompile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("K=%d rank %d: patch: %v", c.K, me, err)
 			}
-			gather = synthGather(p, xlen) // destinations may have changed
-			if err := p.PatchCompiled(rep, xlen, gather, st); err != nil {
+			switch {
+			case st.haloDirty:
+				haloDirty++
+			case c.patchXlen != xlen:
+				xlenWidened++
+			case len(st.dirtyOut)+len(st.dirtyIn) > 0:
+				transitOnly++
+			}
+			gather = synthGather(p, c.patchXlen) // destinations may have changed
+			if err := p.PatchCompiled(rep, c.patchXlen, gather, st); err != nil {
 				t.Fatalf("K=%d rank %d: patch-compile: %v", c.K, me, err)
 			}
-			fresh, err := p.Compile(xlen, gather)
+			fresh, err := p.Compile(c.patchXlen, gather)
 			if err != nil {
 				t.Fatalf("K=%d rank %d: recompile: %v", c.K, me, err)
 			}
@@ -473,6 +505,10 @@ func TestPatchCompiledMatchesRecompile(t *testing.T) {
 				t.Fatalf("K=%d rank %d: no frames accounted for", c.K, me)
 			}
 		}
+	}
+	if haloDirty == 0 || transitOnly == 0 || xlenWidened == 0 {
+		t.Fatalf("cases cover %d halo-dirty, %d transit-only and %d xlen-widened ranks; want at least one of each",
+			haloDirty, transitOnly, xlenWidened)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"stfw/internal/msg"
 	"stfw/internal/vpt"
 )
 
@@ -33,13 +34,13 @@ func synthWorld(t *vpt.Topology, pairs map[synthPair]int) []*Persistent {
 	ps := make([]*Persistent, K)
 	for me := 0; me < K; me++ {
 		p := &Persistent{
-			topo:     t,
-			rank:     me,
-			layout:   make([][]pFrame, t.N()),
-			dests:    map[int]struct{}{},
-			sizes:    map[slotKey]int{},
-			inLayout: make([][][]slotKey, t.N()),
-			inFrom:   make([][]int, t.N()),
+			topo:      t,
+			rank:      me,
+			nbrFrames: make([][]nbrFrame, t.N()),
+			dests:     map[int]struct{}{},
+			sizes:     map[slotKey]int{},
+			inLayout:  make([][][]slotKey, t.N()),
+			inFrom:    make([][]int, t.N()),
 		}
 		// Slot sets per outbound (stage, neighbor) and inbound (stage,
 		// sender) frame; ascending pair iteration yields canonical order.
@@ -81,14 +82,16 @@ func synthWorld(t *vpt.Topology, pairs map[synthPair]int) []*Persistent {
 					continue
 				}
 				nbr := t.WithDigit(me, d, x)
+				nf := nbrFrame{to: nbr}
 				if slots := out[d][nbr]; len(slots) > 0 {
-					p.layout[d] = append(p.layout[d], pFrame{to: nbr, slots: slots})
+					nf.f = &pFrame{slots: slots}
+					nf.subs = make([]msg.Submessage, len(slots))
 				}
+				p.nbrFrames[d] = append(p.nbrFrames[d], nf)
 				p.inFrom[d] = append(p.inFrom[d], nbr)
 				p.inLayout[d] = append(p.inLayout[d], in[d][nbr])
 			}
 		}
-		p.indexNeighborFrames()
 		ps[me] = p
 	}
 	return ps

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"stfw/internal/msg"
@@ -32,18 +31,13 @@ import (
 type Persistent struct {
 	topo *vpt.Topology
 	rank int
-	// layout[d] lists the nonempty frames of stage d in send order, as the
-	// learning run recorded them. It only feeds indexNeighborFrames; after
-	// that (and in particular after any Patch, which may point nbrFrames at
-	// frames the learning run never saw) nbrFrames is the sole authority on
-	// outbound frame contents.
-	layout [][]pFrame
 	// nbrFrames[d][j] pairs the j-th dimension-d neighbor (fixed learning
-	// send order) with its learned nonempty frame, nil when the frame to
-	// that neighbor is empty, plus a reusable submessage scratch sized to
-	// the frame. Precomputed once so replays neither rebuild a per-stage
-	// map nor allocate per-frame submessage slices. Patch mutates the slot
-	// lists in place (and re-sizes the scratch) when the pattern changes.
+	// send order, which is digit order) with its learned nonempty frame,
+	// nil when the frame to that neighbor is empty, plus a reusable
+	// submessage scratch sized to the frame. The learning run fills it slot
+	// by slot, so replays neither rebuild a per-stage map nor allocate
+	// per-frame submessage slices. Patch mutates the slot lists in place
+	// (and re-sizes the scratch) when the pattern changes.
 	nbrFrames [][]nbrFrame
 	// deliver lists the (src, dst) ranks whose payloads end up at this
 	// rank, in the order Exchange returns them (sorted by src, then dst).
@@ -86,7 +80,6 @@ func (p *Persistent) Instrument(t *telemetry.Rank) { p.tele = t }
 type slotKey struct{ src, dst int32 }
 
 type pFrame struct {
-	to    int
 	slots []slotKey
 }
 
@@ -109,13 +102,13 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 		return nil, nil, fmt.Errorf("core: topology size %d != communicator size %d", t.Size(), c.Size())
 	}
 	p := &Persistent{
-		topo:     t,
-		rank:     me,
-		layout:   make([][]pFrame, t.N()),
-		dests:    make(map[int]struct{}, len(payloads)),
-		sizes:    make(map[slotKey]int, len(payloads)),
-		inLayout: make([][][]slotKey, t.N()),
-		inFrom:   make([][]int, t.N()),
+		topo:      t,
+		rank:      me,
+		nbrFrames: make([][]nbrFrame, t.N()),
+		dests:     make(map[int]struct{}, len(payloads)),
+		sizes:     make(map[slotKey]int, len(payloads)),
+		inLayout:  make([][][]slotKey, t.N()),
+		inFrom:    make([][]int, t.N()),
 	}
 	for dst, data := range payloads {
 		p.dests[dst] = struct{}{}
@@ -142,18 +135,23 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 	for d := range learnSched.Stages {
 		p.inFrom[d] = learnSched.Stages[d].RecvFrom
 		p.inLayout[d] = make([][]slotKey, len(p.inFrom[d]))
+		p.nbrFrames[d] = make([]nbrFrame, len(learnSched.Stages[d].Sends))
+		for j, slot := range learnSched.Stages[d].Sends {
+			p.nbrFrames[d][j].to = slot.To
+		}
 	}
 	sm := &stageMachine{
 		sched:   learnSched,
 		traffic: learnSched.Traffic(),
-		outSubs: func(d, _ int, slot SendSlot) ([]msg.Submessage, error) {
+		outSubs: func(d, j int, slot SendSlot) ([]msg.Submessage, error) {
 			subs := fb.Take(d, t.Digit(slot.To, d))
 			if len(subs) > 0 {
-				frame := pFrame{to: slot.To, slots: make([]slotKey, len(subs))}
+				nf := &p.nbrFrames[d][j]
+				nf.f = &pFrame{slots: make([]slotKey, len(subs))}
 				for i, s := range subs {
-					frame.slots[i] = slotKey{src: int32(s.Src), dst: int32(s.Dst)}
+					nf.f.slots[i] = slotKey{src: int32(s.Src), dst: int32(s.Dst)}
 				}
-				p.layout[d] = append(p.layout[d], frame)
+				nf.subs = make([]msg.Submessage, len(subs))
 			}
 			return subs, nil
 		},
@@ -164,7 +162,7 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 				inSlots[i] = k
 				p.sizes[k] = len(sub.Data)
 			}
-			p.inLayout[d][slices.Index(p.inFrom[d], from)] = inSlots
+			p.inLayout[d][p.inFrameIndex(d, from)] = inSlots
 			return scatterFrame(t, me, d, fb, out, subs, nil)
 		},
 		finish: func() error {
@@ -177,38 +175,7 @@ func NewPersistent(c runtime.Comm, t *vpt.Topology, payloads map[int][]byte) (*P
 	for _, s := range out.Subs {
 		p.deliver = append(p.deliver, slotKey{src: int32(s.Src), dst: int32(s.Dst)})
 	}
-	p.indexNeighborFrames()
 	return p, out, nil
-}
-
-// indexNeighborFrames builds nbrFrames from the learned layout: per stage,
-// the fixed neighbor send order annotated with the nonempty frame sent to
-// each neighbor (or nil) and a reusable submessage scratch for it. Replays
-// iterate this slice instead of rebuilding a destination-keyed map — and
-// fill the scratch instead of allocating — per call.
-func (p *Persistent) indexNeighborFrames() {
-	t := p.topo
-	me := p.rank
-	p.nbrFrames = make([][]nbrFrame, t.N())
-	for d := 0; d < t.N(); d++ {
-		myDigit := t.Digit(me, d)
-		row := make([]nbrFrame, 0, t.Dim(d)-1)
-		for x := 0; x < t.Dim(d); x++ {
-			if x == myDigit {
-				continue
-			}
-			nf := nbrFrame{to: t.WithDigit(me, d, x)}
-			for i := range p.layout[d] {
-				if p.layout[d][i].to == nf.to {
-					nf.f = &p.layout[d][i]
-					nf.subs = make([]msg.Submessage, len(nf.f.slots))
-					break
-				}
-			}
-			row = append(row, nf)
-		}
-		p.nbrFrames[d] = row
-	}
 }
 
 // Schedule returns the learned StageSchedule — the IR every Run executes
@@ -238,17 +205,6 @@ func (p *Persistent) Schedule() *StageSchedule {
 	}
 	p.sched = sched
 	return sched
-}
-
-// learnedInSlots returns the learned wire layout of the frame the given
-// stage receives from the given sender.
-func (p *Persistent) learnedInSlots(d, from int) ([]slotKey, bool) {
-	for j, f := range p.inFrom[d] {
-		if f == from {
-			return p.inLayout[d][j], true
-		}
-	}
-	return nil, false
 }
 
 // Run replays the learned pattern with new payload bytes. The destination
@@ -325,10 +281,11 @@ func (p *Persistent) Run(c runtime.Comm, payloads map[int][]byte, opts ...Exchan
 		// the learned wire layout: a replayed pattern is a contract, and a
 		// frame that deviates from it is a routing fault, not new data.
 		onFrame: func(d, from int, subs []msg.Submessage) (int, error) {
-			slots, ok := p.learnedInSlots(d, from)
-			if !ok {
+			j := p.inFrameIndex(d, from)
+			if j < 0 {
 				return 0, fmt.Errorf("core: rank %d stage %d: frame from %d not in the learned pattern", me, d, from)
 			}
+			slots := p.inLayout[d][j]
 			if len(subs) != len(slots) {
 				return 0, fmt.Errorf("core: rank %d stage %d: frame from %d carries %d submessages, learned layout has %d",
 					me, d, from, len(subs), len(slots))

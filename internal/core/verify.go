@@ -270,11 +270,12 @@ func VerifyLearnedWorld(ps []*Persistent) error {
 				if nf.f != nil {
 					sent = nf.f.slots
 				}
-				got, ok := ps[nf.to].learnedInSlots(d, r)
-				if !ok {
+				jin := ps[nf.to].inFrameIndex(d, r)
+				if jin < 0 {
 					v.addf("core: verify: stage %d: rank %d sends to %d, which has no inbound layout for it", d, r, nf.to)
 					continue
 				}
+				got := ps[nf.to].inLayout[d][jin]
 				if len(sent) != len(got) {
 					v.addf("core: verify: stage %d: frame %d->%d carries %d slots, receiver expects %d",
 						d, r, nf.to, len(sent), len(got))
