@@ -2,10 +2,14 @@
 // the paper positions its work against (Section 7): barrier, broadcast,
 // allgather, reduce-scatter, allreduce and all-to-all, built on the same
 // runtime.Comm substrate as the store-and-forward scheme. They use the
-// standard logarithmic algorithms (dissemination, binomial tree, recursive
-// doubling, Bruck) so the repository contains the collective baseline an
-// MPI distribution would offer, and so applications (e.g. the CG solver in
-// internal/iterative) have the reductions they need.
+// standard algorithms (dissemination barrier, binomial trees, ring
+// allgather, pairwise all-to-all) so the repository contains the collective
+// baseline an MPI distribution would offer, and so applications (e.g. the
+// CG solver in internal/iterative) have the reductions they need. Allreduce
+// is a binomial-tree reduce followed by a broadcast rather than recursive
+// doubling: it takes lg K more rounds but sends 2(K-1) frames instead of
+// K lg K, and on this runtime's transports the per-frame cost, not the
+// round count, dominates a small reduction.
 //
 // All operations are collective: every rank of the communicator must call
 // them with compatible arguments. Tags are drawn from a reserved range so
@@ -14,6 +18,7 @@ package collectives
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -24,8 +29,9 @@ const (
 	tagBarrier = 0x4342 + iota
 	tagBcast
 	tagAllgather
-	tagReduceScatter
-	tagAllreduce
+	tagGather
+	tagAllreduce     // partial results up the reduction tree
+	tagAllreduceDown // rank 0's result down the broadcast tree
 	tagAlltoall
 )
 
@@ -51,6 +57,11 @@ func Barrier(c runtime.Comm) error {
 // non-roots receive once, then forward to lg K - level children. It returns
 // the broadcast payload (root's own buf on the root).
 func Bcast(c runtime.Comm, root int, buf []byte) ([]byte, error) {
+	return bcast(c, root, tagBcast, buf)
+}
+
+// bcast is Bcast on a caller-chosen tag.
+func bcast(c runtime.Comm, root, tag int, buf []byte) ([]byte, error) {
 	K := c.Size()
 	if root < 0 || root >= K {
 		return nil, fmt.Errorf("collectives: bcast root %d out of range", root)
@@ -62,7 +73,7 @@ func Bcast(c runtime.Comm, root int, buf []byte) ([]byte, error) {
 		// Receive from parent: clear lowest set bit.
 		parent := (vrank&(vrank-1) + root) % K
 		var err error
-		data, err = c.Recv(parent, tagBcast)
+		data, err = c.Recv(parent, tag)
 		if err != nil {
 			return nil, fmt.Errorf("collectives: bcast recv: %w", err)
 		}
@@ -75,7 +86,7 @@ func Bcast(c runtime.Comm, root int, buf []byte) ([]byte, error) {
 	for d := low >> 1; d > 0; d >>= 1 {
 		child := vrank | d
 		if child != vrank && child < K {
-			if err := c.Send((child+root)%K, tagBcast, data); err != nil {
+			if err := c.Send((child+root)%K, tag, data); err != nil {
 				return nil, fmt.Errorf("collectives: bcast send: %w", err)
 			}
 		}
@@ -156,60 +167,83 @@ var (
 	Min Op = math.Min
 )
 
+// poisonOwner is the owner word of an Allreduce frame that carries no
+// values: a rank saw a length mismatch or a malformed frame from a child.
+// It travels up to rank 0 and back down, so every rank returns an error
+// instead of one side waiting for a frame that never comes.
+const poisonOwner = 0xffffffff
+
+var errAllreduceAborted = errors.New("collectives: allreduce aborted: another rank saw a length mismatch")
+
 // Allreduce reduces the vectors elementwise across all ranks and returns
-// the full result on every rank, using recursive doubling when K is a power
-// of two and a ring fallback otherwise. All ranks must pass equal-length
-// vectors.
+// the full result on every rank. It reduces up a binomial tree to rank 0
+// (each rank folds in its children me+d for d below its lowest set bit,
+// then sends to me with that bit cleared) and broadcasts rank 0's result
+// down the same tree: 2(K-1) frames for any K, and every rank returns rank
+// 0's bytes, so the result is bit-identical across ranks. All ranks must
+// pass equal-length vectors; a mismatch fails every rank.
 func Allreduce(c runtime.Comm, vec []float64, op Op) ([]float64, error) {
 	K := c.Size()
 	me := c.Rank()
 	acc := append([]float64(nil), vec...)
-	if K&(K-1) == 0 {
-		// Recursive doubling: lg K rounds of pairwise exchange.
-		for round, dist := 0, 1; dist < K; round, dist = round+1, dist*2 {
-			peer := me ^ dist
-			if err := c.Send(peer, tagAllreduce+round, encodeOwned(me, acc)); err != nil {
-				return nil, fmt.Errorf("collectives: allreduce send: %w", err)
-			}
-			raw, err := c.Recv(peer, tagAllreduce+round)
-			if err != nil {
-				return nil, fmt.Errorf("collectives: allreduce recv: %w", err)
-			}
-			_, theirs, err := decodeOwned(raw)
-			if err != nil {
-				return nil, err
-			}
-			if len(theirs) != len(acc) {
-				return nil, fmt.Errorf("collectives: allreduce length mismatch %d vs %d", len(theirs), len(acc))
-			}
-			for i := range acc {
-				acc[i] = op(acc[i], theirs[i])
-			}
+	// A rank that finds a bad frame keeps draining its other children, so
+	// none of their frames is left queued under the tag.
+	var bad error
+	for d := 1; me&d == 0 && me+d < K; d <<= 1 {
+		raw, err := c.Recv(me+d, tagAllreduce)
+		if err != nil {
+			return nil, fmt.Errorf("collectives: allreduce recv: %w", err)
 		}
-		return acc, nil
+		if bad == nil {
+			bad = foldOwned(acc, raw, op)
+		}
 	}
-	// Non-power-of-two fallback: allgather everything and reduce locally.
-	// O(K) messages per rank, always correct for any associative op.
-	return allreduceViaGather(c, vec, op)
+	var out []byte
+	if bad == nil {
+		out = encodeOwned(me, acc)
+	} else {
+		out = binary.LittleEndian.AppendUint32(nil, poisonOwner)
+	}
+	if me != 0 {
+		if err := c.Send(me&(me-1), tagAllreduce, out); err != nil {
+			return nil, fmt.Errorf("collectives: allreduce send: %w", err)
+		}
+	}
+	res, err := bcast(c, 0, tagAllreduceDown, out)
+	switch {
+	case err != nil:
+		return nil, err
+	case bad != nil:
+		return nil, bad
+	case me == 0:
+		return acc, nil
+	case isPoison(res):
+		return nil, errAllreduceAborted
+	}
+	_, vals, err := decodeOwned(res)
+	return vals, err
 }
 
-// allreduceViaGather is the simple correct fallback for non-power-of-two K:
-// allgather everything, reduce locally. O(K) messages but always right.
-func allreduceViaGather(c runtime.Comm, vec []float64, op Op) ([]float64, error) {
-	all, err := AllgatherDoubles(c, vec)
-	if err != nil {
-		return nil, err
+// foldOwned folds an encodeOwned frame into acc in place, reading the
+// values straight from raw.
+func foldOwned(acc []float64, raw []byte, op Op) error {
+	if isPoison(raw) {
+		return errAllreduceAborted
 	}
-	acc := append([]float64(nil), all[0]...)
-	for r := 1; r < len(all); r++ {
-		if len(all[r]) != len(acc) {
-			return nil, fmt.Errorf("collectives: allreduce length mismatch at rank %d", r)
-		}
-		for i := range acc {
-			acc[i] = op(acc[i], all[r][i])
-		}
+	if len(raw) < 4 || (len(raw)-4)%8 != 0 {
+		return fmt.Errorf("collectives: malformed segment (%d bytes)", len(raw))
 	}
-	return acc, nil
+	if n := (len(raw) - 4) / 8; n != len(acc) {
+		return fmt.Errorf("collectives: allreduce length mismatch %d vs %d", n, len(acc))
+	}
+	for i := range acc {
+		acc[i] = op(acc[i], math.Float64frombits(binary.LittleEndian.Uint64(raw[4+8*i:])))
+	}
+	return nil
+}
+
+func isPoison(raw []byte) bool {
+	return len(raw) == 4 && binary.LittleEndian.Uint32(raw) == poisonOwner
 }
 
 // AllreduceScalar reduces a single value across all ranks.
@@ -269,7 +303,7 @@ func Gather(c runtime.Comm, root int, mine []byte) ([][]byte, error) {
 	}
 	me := c.Rank()
 	if me != root {
-		return nil, c.Send(root, tagAlltoall-1, mine)
+		return nil, c.Send(root, tagGather, mine)
 	}
 	out := make([][]byte, K)
 	out[root] = mine
@@ -277,7 +311,7 @@ func Gather(c runtime.Comm, root int, mine []byte) ([][]byte, error) {
 		if r == root {
 			continue
 		}
-		raw, err := c.Recv(r, tagAlltoall-1)
+		raw, err := c.Recv(r, tagGather)
 		if err != nil {
 			return nil, fmt.Errorf("collectives: gather recv from %d: %w", r, err)
 		}

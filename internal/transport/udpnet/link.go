@@ -1,6 +1,9 @@
 package udpnet
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 const (
 	// window is the per-link sliding window: at most this many data
@@ -61,6 +64,11 @@ type sendLink struct {
 	nextSeq uint32 // next sequence number to assign
 	sndUna  uint32 // lowest unacked sequence number
 	wnd     [window]pktSlot
+
+	// busy mirrors sndUna != nextSeq. It is written under mu and read
+	// without it, so the retransmit scan can pass over idle links
+	// without taking their locks.
+	busy atomic.Bool
 
 	nextFrameID uint32 // per-link frame counter, stamped into chunks
 

@@ -103,6 +103,7 @@ func (w *World) drainLink(rs *rankState, sl *sendLink, now int64, batch []sendEn
 		sl.backlogHead++
 		seq := sl.nextSeq
 		sl.nextSeq++
+		sl.busy.Store(true)
 		binary.LittleEndian.PutUint32(buf[8:], seq)
 		*s = pktSlot{buf: buf, seq: seq, sending: true, lastSend: now}
 		w.stats.dataSent.Add(1)
@@ -466,6 +467,9 @@ func (w *World) handleAck(rs *rankState, sl *sendLink, cum uint32, bm uint64) {
 			w.freeSlotLocked(sl, seq, now)
 		}
 		sl.sndUna = cum
+		if cum == sl.nextSeq {
+			sl.busy.Store(false)
+		}
 	}
 	if bm != 0 {
 		for i := 0; i < 64; i++ {
@@ -552,8 +556,10 @@ func (w *World) freeSlotLocked(sl *sendLink, seq uint32, now int64) {
 	s.resent = false
 }
 
-// retransmitLoop periodically rescans every local link's window for
-// packets past their RTO and queues them for resend.
+// retransmitLoop periodically rescans every busy local link's window for
+// packets past their RTO and queues them for resend. Idle links are
+// skipped without taking their locks: a link that goes busy just after
+// the check is scanned on the next tick, well inside one RTO.
 func (w *World) retransmitLoop() {
 	defer w.wg.Done()
 	t := time.NewTicker(timerTick)
@@ -567,6 +573,9 @@ func (w *World) retransmitLoop() {
 		now := time.Now().UnixNano()
 		for _, rs := range w.local {
 			for _, sl := range rs.sl {
+				if !sl.busy.Load() {
+					continue
+				}
 				var resend []uint32
 				sl.mu.Lock()
 				for seq := sl.sndUna; seq != sl.nextSeq; seq++ {

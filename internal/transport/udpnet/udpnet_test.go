@@ -3,6 +3,7 @@ package udpnet
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -456,4 +457,82 @@ func TestSocketTeardown(t *testing.T) {
 		<-done
 	}
 	tptest.CheckNoLeakedFDs(t, base)
+}
+
+// TestRTOResendWithoutAcks drives rank 0 against a bare socket standing in
+// for rank 1, so the test decides which acks exist. The first packet is
+// acked, which takes the link back to idle; every ack after the link goes
+// busy again is dropped, and the retransmit scan must still resend the
+// unacked packet once its RTO expires.
+func TestRTOResendWithoutAcks(t *testing.T) {
+	conns, addrs, err := Bind(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := conns[1]
+	defer peer.Close()
+	w, err := NewGroup(GroupConfig{Size: 2, Local: []int{0}, Conns: conns[:1], Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	a, sl := w.Comms()[0], w.local[0].sl[1]
+	zero, err := net.ResolveUDPAddr("udp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// readData waits for a data packet from rank 0 with sequence seq.
+	buf := make([]byte, maxDatagram)
+	readData := func(seq uint32) {
+		t.Helper()
+		if err := peer.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			n, err := peer.Read(buf)
+			if err != nil {
+				t.Fatalf("waiting for packet %d: %v", seq, err)
+			}
+			if h, _, err := parseDgram(buf[:n], 2); err == nil && h.kind == kindData && h.seq == seq {
+				return
+			}
+		}
+	}
+	ack := func(cum uint32) {
+		t.Helper()
+		if _, err := peer.WriteToUDP(buildAck(make([]byte, maxDatagram), 1, cum, 0), zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitIdle := func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); sl.busy.Load(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("link still busy after its last packet was acked")
+			}
+		}
+	}
+
+	if err := a.Send(1, 1, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	readData(0)
+	ack(1)
+	waitIdle()
+
+	if err := a.Send(1, 1, []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	readData(1)
+	readData(1) // no ack: only the RTO scan can send it again
+	var timeouts int64
+	for _, l := range w.RankLinkStats(0) {
+		timeouts += l.TimeoutResends
+	}
+	if timeouts == 0 {
+		t.Error("packet 1 came back but no timeout resend was counted")
+	}
+	ack(2)
+	waitIdle()
 }
