@@ -54,20 +54,15 @@ func PowerIteration(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pa
 	// The session caches the owned-row list; the returned slice is
 	// read-only shared state, which the solver only iterates.
 	owned := sess.OwnedRows()
-	dot := func(u, v []float64) (float64, error) {
-		var local float64
-		for _, i := range owned {
-			local += u[i] * v[i]
-		}
-		return collectives.AllreduceScalar(c, local, collectives.Sum)
-	}
 
 	// Deterministic non-degenerate start vector.
 	x := make([]float64, n)
+	var local float64
 	for _, i := range owned {
 		x[i] = 1 + float64(i%7)/7
+		local += x[i] * x[i]
 	}
-	norm2, err := dot(x, x)
+	norm2, err := collectives.AllreduceScalar(c, local, collectives.Sum)
 	if err != nil {
 		return nil, err
 	}
@@ -83,15 +78,20 @@ func PowerIteration(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pa
 		if err != nil {
 			return nil, fmt.Errorf("iterative: power iteration %d: %w", it, err)
 		}
-		// Rayleigh quotient lambda = x.Ax (x is unit norm).
-		lambda, err := dot(x, y)
+		// The Rayleigh quotient lambda = x.Ax (x is unit norm) and ||y||^2
+		// share one allreduce. It folds each element in the same tree
+		// order as a scalar reduction, so both are bit-identical to
+		// reducing them one at a time.
+		var sums [2]float64
+		for _, i := range owned {
+			sums[0] += x[i] * y[i]
+			sums[1] += y[i] * y[i]
+		}
+		g, err := collectives.Allreduce(c, sums[:], collectives.Sum)
 		if err != nil {
 			return nil, err
 		}
-		norm2, err := dot(y, y)
-		if err != nil {
-			return nil, err
-		}
+		lambda, norm2 := g[0], g[1]
 		if norm2 == 0 {
 			return nil, fmt.Errorf("iterative: power iteration degenerated to zero vector")
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"stfw/internal/collectives"
 	"stfw/internal/partition"
 	"stfw/internal/runtime"
 	"stfw/internal/sparse"
@@ -137,5 +138,106 @@ func TestPowerIterationValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// powerTwoReductions is PowerIteration as it was before its two inner
+// products shared one allreduce: one AllreduceScalar each for x.y and y.y.
+func powerTwoReductions(c runtime.Comm, a *sparse.CSR, part *partition.Partition, pat *spmv.Pattern, opt PowerOptions) (*PowerResult, error) {
+	sess, err := spmv.NewSession(c, a, part, pat, opt.Comm)
+	if err != nil {
+		return nil, err
+	}
+	owned := sess.OwnedRows()
+	dot := func(u, v []float64) (float64, error) {
+		var local float64
+		for _, i := range owned {
+			local += u[i] * v[i]
+		}
+		return collectives.AllreduceScalar(c, local, collectives.Sum)
+	}
+	x := make([]float64, a.Rows)
+	for _, i := range owned {
+		x[i] = 1 + float64(i%7)/7
+	}
+	norm2, err := dot(x, x)
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range owned {
+		x[i] *= 1 / math.Sqrt(norm2)
+	}
+	res := &PowerResult{Vec: x}
+	prev := math.Inf(1)
+	for it := 0; it < opt.MaxIter; it++ {
+		y, err := sess.Multiply(x)
+		if err != nil {
+			return nil, err
+		}
+		lambda, err := dot(x, y)
+		if err != nil {
+			return nil, err
+		}
+		norm2, err := dot(y, y)
+		if err != nil {
+			return nil, err
+		}
+		scale := 1 / math.Sqrt(norm2)
+		for _, i := range owned {
+			x[i] = y[i] * scale
+		}
+		res.Iters, res.Value = it+1, lambda
+		if math.Abs(lambda-prev) < opt.Tol {
+			res.Converged = true
+			break
+		}
+		prev = lambda
+	}
+	return res, nil
+}
+
+// TestPowerIterationFusedReductionBitIdentical pins the one-allreduce
+// iteration to the two-reduction one: Allreduce folds each element in the
+// same tree order, so Value, Vec and Iters must match bit for bit on every
+// rank.
+func TestPowerIterationFusedReductionBitIdentical(t *testing.T) {
+	const K = 16
+	a := spdMatrix(t, 300)
+	part, err := partition.Greedy(a, K, partition.DefaultGreedy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := spmv.BuildPattern(a, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, _ := vpt.NewBalanced(K, 4)
+	for _, comm := range []spmv.Options{{Method: spmv.BL}, {Method: spmv.STFW, Topo: tp}} {
+		opt := PowerOptions{MaxIter: 1000, Tol: 1e-11, Comm: comm}
+		got := make([]*PowerResult, K)
+		want := make([]*PowerResult, K)
+		w, _ := chanpt.NewWorld(K, K)
+		err := w.Run(func(c runtime.Comm) (err error) {
+			if got[c.Rank()], err = PowerIteration(c, a, part, pat, opt); err != nil {
+				return err
+			}
+			want[c.Rank()], err = powerTwoReductions(c, a, part, pat, opt)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range got {
+			g, h := got[r], want[r]
+			if g.Iters != h.Iters || g.Converged != h.Converged || math.Float64bits(g.Value) != math.Float64bits(h.Value) {
+				t.Fatalf("%v rank %d: fused gives value %v after %d iterations (converged %v), two reductions %v after %d (%v)",
+					comm.Method, r, g.Value, g.Iters, g.Converged, h.Value, h.Iters, h.Converged)
+			}
+			for i := range g.Vec {
+				if math.Float64bits(g.Vec[i]) != math.Float64bits(h.Vec[i]) {
+					t.Fatalf("%v rank %d: Vec[%d] = %v, two reductions give %v", comm.Method, r, i, g.Vec[i], h.Vec[i])
+				}
+			}
+		}
 	}
 }

@@ -25,12 +25,27 @@ type mmsghdr struct {
 // batchIO holds one rank's precomputed destination sockaddrs and syscall
 // scratch. The sender goroutine owns the s* halves, the receiver the r*
 // halves; they never touch each other's.
+//
+// The RawConn Write/Read callbacks are method values bound once in
+// newBatchIO: a closure handed to RawConn escapes, so building one per
+// call would allocate it and every variable it captures on each batch.
+// Their per-call state lives in the fields beside them instead.
 type batchIO struct {
 	raddrs []syscall.RawSockaddrInet4
 	shdrs  [sendBatchMax]mmsghdr
 	siov   [sendBatchMax]syscall.Iovec
 	rhdrs  [recvBatchMax]mmsghdr
 	riov   [recvBatchMax]syscall.Iovec
+
+	sendFn func(fd uintptr) bool // b.sendReady
+	sn     int                   // datagrams in the current sendmmsg batch
+	sent   int                   // of them, accepted or skipped so far
+	serrs  int                   // datagrams refused in the current send call
+
+	recvFn func(fd uintptr) bool // b.recvReady
+	rn     int                   // headers offered to recvmmsg
+	rgot   int                   // datagrams received
+	rerr   error                 // socket error other than EAGAIN/EINTR
 }
 
 // newBatchIO precomputes raw IPv4 sockaddrs for every rank. A non-IPv4
@@ -49,6 +64,8 @@ func newBatchIO(addrs []*net.UDPAddr) *batchIO {
 		sa.Port = uint16(a.Port>>8) | uint16(a.Port&0xff)<<8
 		copy(sa.Addr[:], ip)
 	}
+	b.sendFn = b.sendReady
+	b.recvFn = b.recvReady
 	return b
 }
 
@@ -56,6 +73,7 @@ func newBatchIO(addrs []*net.UDPAddr) *batchIO {
 // returns the number of datagrams the socket refused (dropped; the
 // reliability layer recovers them).
 func (b *batchIO) send(rc syscall.RawConn, batch []sendEntry) (errs int) {
+	b.serrs = 0
 	off := 0
 	for off < len(batch) {
 		n := len(batch) - off
@@ -74,36 +92,38 @@ func (b *batchIO) send(rc syscall.RawConn, batch []sendEntry) (errs int) {
 			h.hdr.Iovlen = 1
 			h.msgLen = 0
 		}
-		sent := 0
-		werr := rc.Write(func(fd uintptr) bool {
-			for sent < n {
-				r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-					uintptr(unsafe.Pointer(&b.shdrs[sent])), uintptr(n-sent),
-					syscall.MSG_DONTWAIT, 0, 0)
-				switch errno {
-				case 0:
-					sent += int(r)
-				case syscall.EINTR:
-					// retry
-				case syscall.EAGAIN:
-					return false
-				default:
-					// sendmmsg only errors when its FIRST datagram fails
-					// (ENOBUFS, ICMP-driven refusals during teardown):
-					// skip that one and keep the rest of the batch moving.
-					errs++
-					sent++
-				}
-			}
-			return true
-		})
-		if werr != nil {
-			errs += len(batch) - off - sent
-			return errs
+		b.sn, b.sent = n, 0
+		if err := rc.Write(b.sendFn); err != nil {
+			return b.serrs + len(batch) - off - b.sent
 		}
 		off += n
 	}
-	return errs
+	return b.serrs
+}
+
+// sendReady is the RawConn.Write callback: it pushes shdrs[sent:sn]
+// through sendmmsg until the batch is done or the socket would block.
+func (b *batchIO) sendReady(fd uintptr) bool {
+	for b.sent < b.sn {
+		r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&b.shdrs[b.sent])), uintptr(b.sn-b.sent),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch errno {
+		case 0:
+			b.sent += int(r)
+		case syscall.EINTR:
+			// retry
+		case syscall.EAGAIN:
+			return false
+		default:
+			// sendmmsg only errors when its FIRST datagram fails
+			// (ENOBUFS, ICMP-driven refusals during teardown): skip
+			// that one and keep the rest of the batch moving.
+			b.serrs++
+			b.sent++
+		}
+	}
+	return true
 }
 
 // recv fills bufs with one recvmmsg batch, blocking (via the netpoller)
@@ -123,35 +143,36 @@ func (b *batchIO) recv(rc syscall.RawConn, bufs [][]byte, lens []int) (int, erro
 		h.hdr.Iovlen = 1
 		h.msgLen = 0
 	}
-	got := 0
-	var serr error
-	rerr := rc.Read(func(fd uintptr) bool {
-		r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(n),
-			syscall.MSG_DONTWAIT, 0, 0)
-		switch errno {
-		case 0:
-			got = int(r)
-			return true
-		case syscall.EINTR, syscall.EAGAIN:
-			return false
-		case syscall.ECONNREFUSED:
-			// Queued ICMP error from a peer mid-teardown; consume and go
-			// back to the socket.
-			return false
-		default:
-			serr = errno
-			return true
-		}
-	})
-	if rerr != nil {
-		return 0, rerr // socket closed
+	b.rn, b.rgot, b.rerr = n, 0, nil
+	if err := rc.Read(b.recvFn); err != nil {
+		return 0, err // socket closed
 	}
-	if serr != nil {
-		return 0, serr
+	if b.rerr != nil {
+		return 0, b.rerr
 	}
-	for i := 0; i < got; i++ {
+	for i := 0; i < b.rgot; i++ {
 		lens[i] = int(b.rhdrs[i].msgLen)
 	}
-	return got, nil
+	return b.rgot, nil
+}
+
+// recvReady is the RawConn.Read callback: one recvmmsg over rhdrs[:rn].
+func (b *batchIO) recvReady(fd uintptr) bool {
+	r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
+		uintptr(unsafe.Pointer(&b.rhdrs[0])), uintptr(b.rn),
+		syscall.MSG_DONTWAIT, 0, 0)
+	switch errno {
+	case 0:
+		b.rgot = int(r)
+		return true
+	case syscall.EINTR, syscall.EAGAIN:
+		return false
+	case syscall.ECONNREFUSED:
+		// Queued ICMP error from a peer mid-teardown; consume and go
+		// back to the socket.
+		return false
+	default:
+		b.rerr = errno
+		return true
+	}
 }
